@@ -101,10 +101,11 @@ struct CluseqOptions {
   /// Multi-level candidate pruning in front of the banked scan
   /// (ScanPrefilter, DESIGN.md §14): admissible block/signature/prefix-DP
   /// upper bounds skip clusters that provably cannot reach the threshold,
-  /// and survivors run an early-abandoning DP. Outputs are bit-for-bit
-  /// identical with the prefilter on or off — every skip is justified by
-  /// an admissible bound — so, like batched_scan, this is purely a
-  /// performance switch (the off path doubles as the correctness oracle).
+  /// and survivors run the exact DP over just their rows. Outputs are
+  /// bit-for-bit identical with the prefilter on or off — every skip is
+  /// justified by an admissible bound — so, like batched_scan, this is
+  /// purely a performance switch (the off path doubles as the correctness
+  /// oracle).
   /// Requires batched_scan; inactive in within-scan-updates mode. While
   /// the §4.6 threshold adjuster is live, the scan prunes against the
   /// censored floor log t − adjust_bound_window instead of log t, so the
@@ -239,13 +240,9 @@ struct IterationStats {
   /// Fraction of the n × k sequence-cluster pairs the prefilter skipped
   /// without touching any model rows (0 when the prefilter was inactive).
   double prefilter_skip_ratio = 0.0;
-  /// Pairs whose DP was abandoned mid-sequence by the bounded scan.
-  size_t prefilter_dp_early_exits = 0;
   /// Pairs pruned by the level-1.5 truncated-prefix DP bound (a subset of
   /// the skipped pairs counted in prefilter_skip_ratio).
   size_t prefilter_l15_pruned = 0;
-  /// Level-2 bound checks actually executed by the adaptive schedule.
-  size_t prefilter_checkpoints = 0;
   /// Per-phase perf-counter and getrusage deltas (seed / scan / join /
   /// consolidate / adjust_t). Counters are empty when perf_event_open is
   /// unavailable; the rusage fields are always filled. Observability only —
@@ -376,15 +373,11 @@ class CluseqClusterer {
   double scan_target_ = 0.0;
   size_t prefilter_pairs_this_iter_ = 0;
   size_t prefilter_skipped_this_iter_ = 0;
-  size_t prefilter_early_exits_this_iter_ = 0;
   size_t prefilter_l15_this_iter_ = 0;
-  size_t prefilter_checkpoints_this_iter_ = 0;
   // Whole-run prefilter aggregates for the run report.
   size_t run_prefilter_pairs_ = 0;
   size_t run_prefilter_skipped_ = 0;
-  size_t run_prefilter_early_exits_ = 0;
   size_t run_prefilter_l15_ = 0;
-  size_t run_prefilter_checkpoints_ = 0;
   // Per-phase perf/rusage sampling; drained into IterationStats each
   // iteration. Opens the process-wide PerfCounterSet lazily on first use.
   obs::PhasePerfCollector phase_perf_;

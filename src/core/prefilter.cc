@@ -36,8 +36,6 @@ struct Workspace {
   std::vector<const uint8_t*> cols;  // per-position dense column pointers
   std::vector<int32_t> acc;          // dense level-1 integer Kadane maxima
   std::vector<uint32_t> candidates;
-  std::vector<double> margins;
-  std::vector<uint8_t> exact;
   std::vector<SimilarityResult> tmp;
   std::vector<uint8_t> model_exact;
   std::vector<double> model_value;
@@ -249,33 +247,13 @@ double L15Bound(const FrozenBank& bank, size_t m, double ub1, size_t p,
   return ub + 1e-9 * (1.0 + std::fabs(ub1) + std::fabs(posprefix));
 }
 
-// Per-(sequence, model) level-2 margin: the largest clamped cap over the
-// codes this sequence actually contains — every level-2 checkpoint fires
-// past the lead positions (the kernels never check before symbol 16), so
-// all per-symbol terms after a checkpoint are capped by some touched
-// code's cap. Far tighter than the bank's static per-model max ratio.
-double SeqMargin(const FrozenBank& bank, size_t m, const Workspace& ws) {
-  const int16_t* cap = bank.signature_cap_q(m).data();
-  int16_t mx = 0;
-  for (const uint32_t code : ws.touched) {
-    if (cap[code] > mx) mx = cap[code];
-  }
-  return static_cast<double>(mx) * FrozenBank::kSignatureQuantStep;
-}
-
 void RecordMetrics(const PrefilterScanStats& stats) {
   static obs::Counter& skipped = obs::MetricsRegistry::Get().GetCounter(
       "prefilter.candidates_skipped");
   static obs::Counter& l15 = obs::MetricsRegistry::Get().GetCounter(
       "prefilter.l15_pruned");
-  static obs::Counter& early = obs::MetricsRegistry::Get().GetCounter(
-      "prefilter.dp_early_exits");
-  static obs::Counter& checks = obs::MetricsRegistry::Get().GetCounter(
-      "prefilter.checkpoints");
   if (stats.candidates_skipped > 0) skipped.Add(stats.candidates_skipped);
   if (stats.l15_pruned > 0) l15.Add(stats.l15_pruned);
-  if (stats.dp_early_exits > 0) early.Add(stats.dp_early_exits);
-  if (stats.checkpoints > 0) checks.Add(stats.checkpoints);
 }
 
 // Slack of the level-1 bound on the best-scoring model, observed once per
@@ -326,7 +304,6 @@ void ScanPrefilter::ScanAllWithThreshold(std::span<const SymbolId> symbols,
   // conversion, one double compare, and one slot write each.
   const double up = BoundScale(*bank_);
   ws.candidates.clear();
-  ws.margins.clear();
   for (size_t m = 0; m < k; ++m) {
     double val = UbFromZ(ws.acc[m], up);
     if (val < log_t) {
@@ -349,23 +326,19 @@ void ScanPrefilter::ScanAllWithThreshold(std::span<const SymbolId> symbols,
       }
     }
     ws.candidates.push_back(static_cast<uint32_t>(m));
-    ws.margins.push_back(SeqMargin(*bank_, m, ws));
   }
   local.candidates_skipped = k - ws.candidates.size();
 
-  // Level 2: bounded DP over the survivors with the threshold as target.
+  // Level 2: exact sparse DP over the survivors.
   double best_exact = kNegInf;
   size_t best_m = static_cast<size_t>(-1);
   if (!ws.candidates.empty()) {
     ws.tmp.resize(ws.candidates.size());
-    ws.exact.resize(ws.candidates.size());
-    local.dp_early_exits = bank_->ScanCandidatesBounded(
-        symbols, ws.candidates, log_t, ws.tmp.data(), ws.exact.data(),
-        ws.margins, &local.checkpoints);
+    bank_->ScanCandidates(symbols, ws.candidates, ws.tmp.data());
     for (size_t j = 0; j < ws.candidates.size(); ++j) {
       const size_t m = ws.candidates[j];
       results[m] = ws.tmp[j];
-      if (ws.exact[j] && ws.tmp[j].log_sim > best_exact) {
+      if (ws.tmp[j].log_sim > best_exact) {
         best_exact = ws.tmp[j].log_sim;
         best_m = m;
       }
@@ -374,18 +347,16 @@ void ScanPrefilter::ScanAllWithThreshold(std::span<const SymbolId> symbols,
 
   // Residual pass: the per-sequence maximum must be exact even when it
   // falls below the threshold (best_log_sim is a reported output).
-  std::vector<uint8_t>& state = ws.model_exact;  // 0 pruned, 1 abandoned,
-  state.assign(k, 0);                            // 2 exact
-  for (size_t j = 0; j < ws.candidates.size(); ++j) {
-    state[ws.candidates[j]] = ws.exact[j] ? 2 : 1;
-  }
+  std::vector<uint8_t>& exact = ws.model_exact;
+  exact.assign(k, 0);
+  for (const uint32_t m : ws.candidates) exact[m] = 1;
 
   // When nothing is exactly known yet (common below the threshold: every
-  // model was pruned or abandoned), scan the single highest-bound model
-  // exactly first. It is the likeliest true max, and the score it
-  // establishes retires almost every remaining bound before the sweep
-  // below even starts. Ties break to the lowest index (strict >), so the
-  // choice is deterministic.
+  // model was pruned), scan the single highest-bound model exactly first.
+  // It is the likeliest true max, and the score it establishes retires
+  // almost every remaining bound before the sweep below even starts.
+  // Ties break to the lowest index (strict >), so the choice is
+  // deterministic.
   if (best_exact == kNegInf) {
     // Argmax over the raw integer maxima (4 bytes per model, not the 24
     // of a result slot); any deterministic seed rule preserves exactness,
@@ -393,22 +364,17 @@ void ScanPrefilter::ScanAllWithThreshold(std::span<const SymbolId> symbols,
     size_t m0 = static_cast<size_t>(-1);
     int32_t z0 = std::numeric_limits<int32_t>::min();
     for (size_t m = 0; m < k; ++m) {
-      if (state[m] != 2 && ws.acc[m] > z0) {
+      if (!exact[m] && ws.acc[m] > z0) {
         z0 = ws.acc[m];
         m0 = m;
       }
     }
     if (m0 != static_cast<size_t>(-1)) {
       ws.candidates.assign(1, static_cast<uint32_t>(m0));
-      ws.margins.assign(1, SeqMargin(*bank_, m0, ws));
       ws.tmp.resize(1);
-      ws.exact.resize(1);
-      // A -inf target can never abandon, so the result is exact.
-      bank_->ScanCandidatesBounded(symbols, ws.candidates, kNegInf,
-                                   ws.tmp.data(), ws.exact.data(), ws.margins,
-                                   &local.checkpoints);
+      bank_->ScanCandidates(symbols, ws.candidates, ws.tmp.data());
       results[m0] = ws.tmp[0];
-      state[m0] = 2;
+      exact[m0] = 1;
       ++local.residual_rescans;
       if (ws.tmp[0].log_sim > best_exact) {
         best_exact = ws.tmp[0].log_sim;
@@ -423,39 +389,28 @@ void ScanPrefilter::ScanAllWithThreshold(std::span<const SymbolId> symbols,
   // inside the "prefix", the tightest bound the tier can express), or
   // the fine positional sum when level 1.5 is disabled — and dropped if
   // the refined bound no longer beats the best. Survivors batch into
-  // growing chunks re-scanned with the running best as the abandon
-  // target. The dense Kadane bound is tight enough that almost nothing
-  // survives the `> best_exact` test, so visiting order no longer
-  // matters the way it did for a positional-sum bound: a plain index
-  // sweep replaces the old bound-ordered heap. It is deterministic by
-  // construction, and best_exact only ever grows, so a model passed
-  // over earlier stays correctly passed over. The true-max model can be
-  // neither dropped (its bound ≥ its score ≥ best_exact) nor abandoned
-  // (any admissible mid-scan bound on it is ≥ its score ≥ the target),
-  // so the final max is exact. Chunks grow 4 → 8 → 16 because the first
-  // chunk runs at the loosest target and every exact score it produces
-  // tightens the target for the rest. Sequences that joined something
-  // rarely get here at all: best_exact ≥ log_t then, and every
-  // non-exact bound is < log_t.
+  // growing chunks scanned exactly. The dense Kadane bound is tight
+  // enough that almost nothing survives the `> best_exact` test, so
+  // visiting order no longer matters the way it did for a positional-sum
+  // bound: a plain index sweep replaces the old bound-ordered heap. It is
+  // deterministic by construction, and best_exact only ever grows, so a
+  // model passed over earlier stays correctly passed over. The true-max
+  // model cannot be dropped (its bound ≥ its score ≥ best_exact), so the
+  // final max is exact. Chunks grow 4 → 8 → 16 because every exact score
+  // the first chunk produces tightens the filter for the rest. Sequences
+  // that joined something rarely get here at all: best_exact ≥ log_t
+  // then, and every non-exact bound is < log_t.
   size_t chunk_cap = 4;
   size_t sweep = 0;
-  // For still-pruned models (state 0) the slot value is UbFromZ(acc[m]),
-  // so the "bound still beats best_exact" test collapses to one int32
-  // compare against a floor recomputed whenever best_exact grows;
-  // abandoned lanes (state 1, rare) carry refined DP bounds and keep the
-  // double compare.
+  // A pruned model's slot value is at most UbFromZ(acc[m]), so the
+  // "bound still beats best_exact" test collapses to one int32 compare
+  // against a floor recomputed whenever best_exact grows.
   int32_t z_floor = ZBoundFloor(best_exact, up, /*strict=*/true);
   while (sweep < k) {
     ws.candidates.clear();
-    ws.margins.clear();
     for (; sweep < k && ws.candidates.size() < chunk_cap; ++sweep) {
       const size_t m = sweep;
-      const uint8_t st = state[m];
-      if (st == 2) continue;
-      if (st == 0 ? ws.acc[m] < z_floor
-                  : !(results[m].log_sim > best_exact)) {
-        continue;
-      }
+      if (exact[m] || ws.acc[m] < z_floor) continue;
       double refined = results[m].log_sim;
       if (prefix > 0) {
         const double ubf =
@@ -472,27 +427,18 @@ void ScanPrefilter::ScanAllWithThreshold(std::span<const SymbolId> symbols,
         continue;
       }
       ws.candidates.push_back(static_cast<uint32_t>(m));
-      ws.margins.push_back(SeqMargin(*bank_, m, ws));
     }
     if (ws.candidates.empty()) continue;  // everything refined away
     ws.tmp.resize(ws.candidates.size());
-    ws.exact.resize(ws.candidates.size());
-    local.dp_early_exits += bank_->ScanCandidatesBounded(
-        symbols, ws.candidates, best_exact, ws.tmp.data(), ws.exact.data(),
-        ws.margins, &local.checkpoints);
+    bank_->ScanCandidates(symbols, ws.candidates, ws.tmp.data());
     for (size_t j = 0; j < ws.candidates.size(); ++j) {
       const size_t m = ws.candidates[j];
-      // Abandoned lanes leave a refined admissible bound (< best_exact at
-      // chunk start, hence < log t) in the slot; exact lanes leave the
-      // true result, which is ≤ its bound < log t — no new joins either
-      // way.
+      // The true result is ≤ its bound < log t: no new joins.
       results[m] = ws.tmp[j];
-      if (ws.exact[j]) {
-        ++local.residual_rescans;
-        if (ws.tmp[j].log_sim > best_exact) {
-          best_exact = ws.tmp[j].log_sim;
-          best_m = m;
-        }
+      ++local.residual_rescans;
+      if (ws.tmp[j].log_sim > best_exact) {
+        best_exact = ws.tmp[j].log_sim;
+        best_m = m;
       }
     }
     z_floor = ZBoundFloor(best_exact, up, /*strict=*/true);
@@ -554,12 +500,12 @@ int32_t ScanPrefilter::BestModel(std::span<const SymbolId> symbols,
   have_exact.assign(k, 0);
   double best_bound = kNegInf;
 
-  // The highest-bound model is scanned first, alone and with an
-  // un-abandonable -inf target: it is usually the argmax, and its exact
-  // score is the tightest possible starting target for everything else.
-  // The argmax runs over the raw integer Kadane maxima (conversion is
-  // monotone, so this is the highest bound too); ties break to the
-  // lowest index (strict >), so the seed choice is deterministic.
+  // The highest-bound model is scanned first, alone: it is usually the
+  // argmax, and its exact score is the tightest possible starting filter
+  // for everything else. The argmax runs over the raw integer Kadane
+  // maxima (conversion is monotone, so this is the highest bound too);
+  // ties break to the lowest index (strict >), so the seed choice is
+  // deterministic.
   size_t m0 = static_cast<size_t>(-1);
   int32_t z0 = std::numeric_limits<int32_t>::min();
   for (size_t m = 0; m < k; ++m) {
@@ -570,12 +516,8 @@ int32_t ScanPrefilter::BestModel(std::span<const SymbolId> symbols,
     }
   }
   ws.candidates.assign(1, static_cast<uint32_t>(m0));
-  ws.margins.assign(1, SeqMargin(*bank_, m0, ws));
   ws.tmp.resize(1);
-  ws.exact.resize(1);
-  bank_->ScanCandidatesBounded(symbols, ws.candidates, kNegInf, ws.tmp.data(),
-                               ws.exact.data(), ws.margins,
-                               &local.checkpoints);
+  bank_->ScanCandidates(symbols, ws.candidates, ws.tmp.data());
   exact_value[m0] = ws.tmp[0].log_sim;
   have_exact[m0] = 1;
   if (ws.tmp[0].log_sim > best) {
@@ -589,10 +531,8 @@ int32_t ScanPrefilter::BestModel(std::span<const SymbolId> symbols,
   // the best and win the ascending-index tie-break), so drops are
   // strict `<`; and every survivor is refined (the full-length cap
   // Kadane on the fine int16 grid, or the fine positional sum when
-  // level 1.5 is disabled) before joining a chunk. The true argmax can
-  // be neither dropped (its bound ≥ its score ≥ best) nor abandoned
-  // (any admissible mid-scan bound on it is ≥ its score ≥ the target),
-  // so the maximum is exact.
+  // level 1.5 is disabled) before joining a chunk. The true argmax cannot
+  // be dropped (its bound ≥ its score ≥ best), so the maximum is exact.
   size_t chunk_cap = 4;
   size_t sweep = 0;
   // Non-strict floor: a bound that TIES the running best must still be
@@ -600,7 +540,6 @@ int32_t ScanPrefilter::BestModel(std::span<const SymbolId> symbols,
   int32_t z_floor = ZBoundFloor(best, up, /*strict=*/false);
   while (sweep < k) {
     ws.candidates.clear();
-    ws.margins.clear();
     for (; sweep < k && ws.candidates.size() < chunk_cap; ++sweep) {
       const size_t m = sweep;
       if (m == exclude_model || m == m0) continue;
@@ -617,16 +556,11 @@ int32_t ScanPrefilter::BestModel(std::span<const SymbolId> symbols,
         if (ub1f < best) continue;
       }
       ws.candidates.push_back(static_cast<uint32_t>(m));
-      ws.margins.push_back(SeqMargin(*bank_, m, ws));
     }
     if (ws.candidates.empty()) continue;
     ws.tmp.resize(ws.candidates.size());
-    ws.exact.resize(ws.candidates.size());
-    local.dp_early_exits += bank_->ScanCandidatesBounded(
-        symbols, ws.candidates, best, ws.tmp.data(), ws.exact.data(),
-        ws.margins, &local.checkpoints);
+    bank_->ScanCandidates(symbols, ws.candidates, ws.tmp.data());
     for (size_t j = 0; j < ws.candidates.size(); ++j) {
-      if (!ws.exact[j]) continue;  // True score < best: cannot be argmax.
       const uint32_t m = ws.candidates[j];
       exact_value[m] = ws.tmp[j].log_sim;
       have_exact[m] = 1;
@@ -640,10 +574,8 @@ int32_t ScanPrefilter::BestModel(std::span<const SymbolId> symbols,
   }
   const size_t eligible = exclude_model < k ? k - 1 : k;
   local.candidates_skipped =
-      eligible -
-      static_cast<size_t>(
-          std::count(have_exact.begin(), have_exact.end(), uint8_t{1})) -
-      local.dp_early_exits;
+      eligible - static_cast<size_t>(std::count(have_exact.begin(),
+                                                have_exact.end(), uint8_t{1}));
 
   // First model (ascending index) whose exact score equals the exact max —
   // identical to the exhaustive first-strict-max loop, which also leaves

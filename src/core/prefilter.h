@@ -41,30 +41,29 @@
 // deterministic pad absorbs FP summation-order differences against the
 // level-1 sum, keeping the bound admissible.
 //
-// Level 2 — in-DP early abandon. Remaining survivors run the real
-// interleaved DP (FrozenBank::ScanCandidatesBounded) with per-(sequence,
-// model) margins — the max cap over codes the sequence actually contains,
-// far tighter than the bank's static per-model max ratio — on an adaptive
-// checkpoint schedule (dense while lanes are near the target, geometric
-// back-off once they separate; see frozen_bank.h).
+// Level 2 — exact sparse DP. Remaining survivors run the real interleaved
+// DP over just their rows (FrozenBank::ScanCandidates), so every model is
+// either pruned by a bound or scored exactly. An earlier in-DP early-
+// abandon stage (a remaining-stream bound checked on an adaptive
+// schedule) abandoned 0 pairs on every end-to-end benchmark workload while
+// running ~37k–212k bound checks per run, and was removed.
 //
 // Exactness is restored where consumers need it:
-//   * join decisions: a skipped/abandoned model's recorded value is its
-//     upper bound, which is < the target, so it never joins — same as
-//     exact;
-//   * the per-sequence best score: after the bounded pass, the highest-
-//     bound model is scanned exactly, then an ascending-index sweep
-//     visits every model whose bound still exceeds the best exactly-known
-//     score, each first *refined* (a full-length Kadane on the fine int16
-//     caps) and only re-scanned exactly if the refined bound still beats
-//     the best — the Kadane bound is tight enough that the sweep almost
-//     never fires, so no priority order is needed;
+//   * join decisions: a skipped model's recorded value is its upper
+//     bound, which is < the target, so it never joins — same as exact;
+//   * the per-sequence best score: after the sparse DP, if nothing is
+//     exactly known yet the highest-bound model is scanned exactly, then
+//     an ascending-index sweep visits every model whose bound still
+//     exceeds the best exactly-known score, each first *refined* (a
+//     full-length Kadane on the fine int16 caps) and only scanned exactly
+//     if the refined bound still beats the best — the Kadane bound is
+//     tight enough that the sweep almost never fires, so no priority
+//     order is needed;
 //   * argmax (Classify): the highest-bound model is scanned first (it is
-//     usually the winner), then the same ascending sweep runs with the
-//     running best as the abandon target; the true argmax can never be
-//     skipped or abandoned (its bound is ≥ its score ≥ the running best),
-//     and ties resolve to the smallest model index exactly as the
-//     exhaustive first-strict-max loop does.
+//     usually the winner), then the same ascending sweep runs against the
+//     running best; the true argmax can never be skipped (its bound is ≥
+//     its score ≥ the running best), and ties resolve to the smallest
+//     model index exactly as the exhaustive first-strict-max loop does.
 //
 // Thread-safe: all mutable state lives in a per-thread workspace (reused
 // across calls — no per-sequence allocation on the steady-state path), so
@@ -90,8 +89,6 @@ struct PrefilterScanStats {
   size_t models_total = 0;       ///< Models the call covered.
   size_t candidates_skipped = 0; ///< Models pruned before the DP (all levels).
   size_t l15_pruned = 0;         ///< Subset: level-1.5 truncated-DP drops.
-  size_t dp_early_exits = 0;     ///< Level-2 mid-DP abandons.
-  size_t checkpoints = 0;        ///< Level-2 bound checks actually executed.
   size_t residual_rescans = 0;   ///< Exact re-scans restoring the max.
 };
 

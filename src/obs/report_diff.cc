@@ -87,8 +87,6 @@ void ExtractRunReport(const JsonValue& root, ReportMetrics* out) {
       {"metrics.frozen_bank.scan_symbols_per_sec", "scan.symbols_per_sec"},
       {"summary.prefilter.skip_ratio", "prefilter.skip_ratio"},
       {"summary.prefilter.l15_ratio", "prefilter.l15_ratio"},
-      {"summary.prefilter.adaptive_checkpoints",
-       "prefilter.adaptive_checkpoints"},
       {"summary.perf.maxrss_kb", "peak_rss_kb"},
   };
   const size_t flattened = out->values.size();

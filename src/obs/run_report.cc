@@ -92,12 +92,8 @@ void WriteIterationStats(JsonWriter& writer, const IterationStats& stats) {
   writer.KeyValue("join_seconds", stats.join_seconds);
   writer.KeyValue("consolidate_seconds", stats.consolidate_seconds);
   writer.KeyValue("prefilter_skip_ratio", stats.prefilter_skip_ratio);
-  writer.KeyValue("prefilter_dp_early_exits",
-                  uint64_t{stats.prefilter_dp_early_exits});
   writer.KeyValue("prefilter_l15_pruned",
                   uint64_t{stats.prefilter_l15_pruned});
-  writer.KeyValue("prefilter_checkpoints",
-                  uint64_t{stats.prefilter_checkpoints});
   writer.EndObject();
 }
 
@@ -221,10 +217,7 @@ void WriteRunReportJson(const RunReport& report, std::ostream& out) {
   writer.BeginObject();
   writer.KeyValue("enabled", report.prefilter_enabled);
   writer.KeyValue("skip_ratio", report.prefilter_skip_ratio);
-  writer.KeyValue("early_exits", uint64_t{report.prefilter_early_exits});
   writer.KeyValue("l15_ratio", report.prefilter_l15_ratio);
-  writer.KeyValue("adaptive_checkpoints",
-                  uint64_t{report.prefilter_checkpoints});
   writer.KeyValue("sig_tier", std::string_view(report.prefilter_sig_tier));
   writer.EndObject();
   writer.Key("checkpoint");

@@ -70,13 +70,11 @@ struct RunReport {
   /// threshold adjuster never froze).
   bool prefilter_enabled = false;
   double prefilter_skip_ratio = 0.0;
-  size_t prefilter_early_exits = 0;
   /// Level-1.5 truncated-DP drops as a fraction of all pairs (subset of
-  /// the skip ratio), total level-2 bound checkpoints executed, and the
-  /// signature tier the bank selected under the byte budget ("unigram" /
-  /// "bigram" / "trigram"; empty when no bank was assembled).
+  /// the skip ratio), and the signature tier the bank selected under the
+  /// byte budget ("unigram" / "bigram" / "trigram"; empty when no bank
+  /// was assembled).
   double prefilter_l15_ratio = 0.0;
-  size_t prefilter_checkpoints = 0;
   std::string prefilter_sig_tier;
 
   /// Whether perf_event_open counters were live for this run (the process-

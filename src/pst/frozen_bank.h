@@ -139,35 +139,11 @@ class FrozenBank {
   /// (indices into [0, num_models())). `results[j]` corresponds to
   /// `candidates[j]` and is bit-for-bit the ScanAll result for that model.
   /// The prefilter (core/prefilter.h) calls this over the models whose
-  /// admissible upper bound survived the level-1 cut.
+  /// admissible upper bounds survived levels 1 and 1.5, and for its
+  /// exactness-restoring residual scans.
   void ScanCandidates(std::span<const SymbolId> symbols,
                       std::span<const uint32_t> candidates,
                       SimilarityResult* results) const;
-
-  /// Bounded sparse scan: like ScanCandidates, but on an adaptive schedule
-  /// of checkpoints each still-active model is tested against the
-  /// admissible remaining-stream bound and abandoned once it provably
-  /// cannot reach `target`:
-  ///
-  ///   final Z  ≤  max(Z_i, max(Y_i, 0) + remaining · margin_j)
-  ///
-  /// where margin_j caps any future per-symbol X term of candidate j —
-  /// max(signature_max(candidates[j]), 0) by default, or the caller's
-  /// tighter (still admissible, nonnegative) `margins[j]` when provided.
-  /// The checkpoint schedule is dense while lanes sit near the target and
-  /// backs off geometrically as survivors separate; every executed check
-  /// applies the same sound bound, so the schedule affects cost only,
-  /// never the result set. For abandoned models `exact[j] = 0` and
-  /// `results[j].log_sim` holds that (strictly < target) upper bound; for
-  /// survivors `exact[j] = 1` and `results[j]` is bit-for-bit ScanAll.
-  /// Returns the number of abandoned models (the dp_early_exits metric);
-  /// `*checkpoints` (when non-null) accrues the executed checkpoint passes.
-  size_t ScanCandidatesBounded(std::span<const SymbolId> symbols,
-                               std::span<const uint32_t> candidates,
-                               double target, SimilarityResult* results,
-                               uint8_t* exact,
-                               std::span<const double> margins = {},
-                               size_t* checkpoints = nullptr) const;
 
   /// --- Admissible-bound signatures -------------------------------------
   /// Per-model caps on the §4.3 DP's X terms, maintained by Assemble (only
@@ -242,9 +218,6 @@ class FrozenBank {
   size_t signature_lead_positions() const {
     return signature_order() <= 2 ? 1 : signature_order() - 1;
   }
-  /// max over (state, symbol) of model m's log-ratio — caps any single X.
-  double signature_max(size_t m) const { return sig_rmax_[m]; }
-
   /// Per-symbol maxima: A entries, [a] = max over states of LogRatio(·, a).
   std::span<const double> signature_max_symbol(size_t m) const {
     return std::span<const double>(sig_maxsym_.data() + m * alphabet_size_,
@@ -419,11 +392,10 @@ class FrozenBank {
   const Entry* external_entries_ = nullptr;
   std::shared_ptr<const void> external_storage_;
   bool force_scalar_ = false;
-  /// Bound signatures, parallel to base_: per-model overall max log-ratio,
-  /// flat k·A per-symbol maxima (double — the level-1.5 DP wants the
-  /// unquantized lead values), and flat k·A^order context caps in round-up
-  /// kSignatureQuantStep fixed point. See the signature accessors above.
-  std::vector<double> sig_rmax_;
+  /// Bound signatures, parallel to base_: flat k·A per-symbol maxima
+  /// (double — the level-1.5 DP wants the unquantized lead values), and
+  /// flat k·A^order context caps in round-up kSignatureQuantStep fixed
+  /// point. See the signature accessors above.
   std::vector<double> sig_maxsym_;
   std::vector<int16_t> sig_cap_q_;
   /// Code-major, signed offset-u8 transposes of the signatures on the
@@ -449,27 +421,6 @@ void ScanBlockScalar(const FrozenBank::Entry* entries, const uint32_t* bases,
                      size_t num_models, const SymbolId* symbols, size_t len,
                      SimilarityResult* out);
 
-/// Early-abandon variant of ScanBlockScalar: at adaptively scheduled
-/// checkpoints each active lane is compared against
-/// max(Z, max(Y, 0) + remaining · margins[m]) and dropped once that bound
-/// falls below `target` (out[m].log_sim = bound, exact[m] = 0, lane
-/// compacted away). Survivors produce bit-for-bit ScanBlockScalar results
-/// with exact[m] = 1. margins[m] must be ≥ 0 — an admissible cap on any
-/// future per-symbol X term. The schedule is a deterministic function of
-/// (lanes, symbols, target): checks start dense (every 16 symbols, but
-/// never before any lane's earliest provably-failable position
-/// len − target/margin) and back off geometrically while nothing abandons;
-/// lanes whose Z already reached the target stop being checked. Every
-/// executed check applies the same admissible bound, so scheduling only
-/// moves cost, never the survivor set. Returns the number of abandoned
-/// lanes; `*checkpoints` accrues the executed check passes.
-size_t ScanBlockScalarBounded(const FrozenBank::Entry* entries,
-                              const uint32_t* bases, size_t num_models,
-                              const SymbolId* symbols, size_t len,
-                              const double* margins, double target,
-                              SimilarityResult* out, uint8_t* exact,
-                              size_t* checkpoints);
-
 /// Dense signed Kadane over offset-u8 columns: for m < n,
 /// z[m] = max over nonempty windows of Σ (cols[i][m] − 64) — the
 /// prefilter's level-1 bound sweep. Pure integer arithmetic, so every
@@ -484,20 +435,6 @@ void KadaneColumnsScalar(const uint8_t* const* cols, size_t len, size_t n,
 void ScanBlockAvx2(const FrozenBank::Entry* entries, const uint32_t* bases,
                    size_t num_models, const SymbolId* symbols, size_t len,
                    SimilarityResult* out);
-
-/// Early-abandon AVX2 kernel: same contract as ScanBlockScalarBounded but
-/// abandonment is per *group* — a group of 16/8/4 interleaved models stops
-/// only when every lane in it is hopeless (per-lane compaction would break
-/// the fixed-width register layout), so its adaptive schedule starts at
-/// the latest lane's earliest-failable position and stops checking for
-/// good once any lane's Z reaches the target. Lanes that run to the end
-/// are bit-for-bit ScanBlockAvx2.
-size_t ScanBlockAvx2Bounded(const FrozenBank::Entry* entries,
-                            const uint32_t* bases, size_t num_models,
-                            const SymbolId* symbols, size_t len,
-                            const double* margins, double target,
-                            SimilarityResult* out, uint8_t* exact,
-                            size_t* checkpoints);
 
 /// AVX2 KadaneColumnsScalar: 16 int16 lanes per step while len·191 fits
 /// int16 (len ≤ 171), 8 int32 lanes beyond; identical results (exact

@@ -36,7 +36,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -152,182 +151,6 @@ void ScanGroupAvx2(const FrozenBank::Entry* entries, const uint32_t* bases,
   }
 }
 
-/// Mirror of the scalar kernel's earliest-failable position: with a
-/// nonnegative per-symbol cap `margin`, the bound max(Z, max(Y, 0) +
-/// remaining · margin) cannot drop below a positive `target` while
-/// remaining · margin >= target, so the first position worth checking is
-/// len − target / margin (clamped to 1).
-inline double EarliestFailPosition(double margin, double target, size_t len) {
-  if (!(margin > 0.0)) return 1.0;
-  const double j0 = static_cast<double>(len) - target / margin;
-  return j0 > 1.0 ? j0 : 1.0;
-}
-
-/// Early-abandon variant: identical lane arithmetic (survivor lanes are
-/// bit-for-bit ScanGroupAvx2) plus adaptively scheduled group checks. A
-/// fixed-width register group cannot compact lanes away, so abandonment is
-/// all-or-nothing: the group stops only when *every* lane's admissible
-/// bound max(Z, max(Y, 0) + remaining · margin) falls below `target`, and
-/// then writes those bounds with exact = 0. The schedule therefore starts
-/// at the *latest* lane's earliest-failable position (no earlier check
-/// could ever fire), backs off geometrically while nothing abandons, and
-/// stops for good once any lane's Z reaches the target (that lane keeps
-/// the whole group alive forever). Returns abandoned lane count (0 or
-/// kQuads·4); `*checkpoints` accrues executed check passes.
-template <int kQuads>
-size_t ScanGroupAvx2Bounded(const FrozenBank::Entry* entries,
-                            const uint32_t* bases, const SymbolId* symbols,
-                            size_t len, const double* margins, double target,
-                            SimilarityResult* out, uint8_t* exact,
-                            size_t* checkpoints) {
-  const __m256d vneg_inf =
-      _mm256_set1_pd(-std::numeric_limits<double>::infinity());
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vtarget = _mm256_set1_pd(target);
-
-  __m128i vbase[kQuads];
-  __m128i vrow[kQuads];
-  __m256d vy[kQuads];
-  __m256d vz[kQuads];
-  __m256d vmargin[kQuads];
-  __m256i vybegin[kQuads];
-  __m256i vbbegin[kQuads];
-  __m256i vbend[kQuads];
-  for (int q = 0; q < kQuads; ++q) {
-    vbase[q] =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bases + 4 * q));
-    vrow[q] = vbase[q];
-    vz[q] = vneg_inf;
-    vmargin[q] = _mm256_loadu_pd(margins + 4 * q);
-    vybegin[q] = _mm256_setzero_si256();
-    vbbegin[q] = _mm256_setzero_si256();
-    vbend[q] = _mm256_setzero_si256();
-  }
-  for (size_t m = 0; m < static_cast<size_t>(kQuads) * 4; ++m) exact[m] = 1;
-
-  // Check schedule. A nonpositive target can never beat the nonnegative
-  // bound, so the loop runs check-free (next_check = len) in that case.
-  constexpr size_t kBoundCheckMin = 16;
-  constexpr size_t kBoundCheckMax = 512;
-  size_t interval = kBoundCheckMin;
-  size_t next_check = len;
-  if (target > 0.0) {
-    double group_j0 = 1.0;
-    for (size_t m = 0; m < static_cast<size_t>(kQuads) * 4; ++m) {
-      const double j0 = EarliestFailPosition(margins[m], target, len);
-      if (j0 > group_j0) group_j0 = j0;
-    }
-    next_check = group_j0 >= static_cast<double>(len)
-                     ? len
-                     : std::max(kBoundCheckMin,
-                                static_cast<size_t>(group_j0));
-  }
-
-  // i = 0 peeled: Y_0 = X_0 unconditionally.
-  {
-    const __m128i vs = _mm_set1_epi32(symbols[0]);
-    const __m256i vone = _mm256_set1_epi64x(1);
-    for (int q = 0; q < kQuads; ++q) {
-      const __m128i vg = _mm_add_epi32(vrow[q], vs);
-      const __m256d vx = GatherRatio(entries, vg);
-      const __m128i vnext = GatherNext(entries, vg);
-      vrow[q] = _mm_add_epi32(vbase[q], vnext);
-      vy[q] = vx;
-      const __m256d gt = _mm256_cmp_pd(vy[q], vz[q], _CMP_GT_OQ);
-      vz[q] = _mm256_blendv_pd(vz[q], vy[q], gt);
-      vbend[q] = _mm256_castpd_si256(_mm256_blendv_pd(
-          _mm256_castsi256_pd(vbend[q]), _mm256_castsi256_pd(vone), gt));
-    }
-  }
-
-  for (size_t i = 1; i < len; ++i) {
-    if (i >= next_check) {
-      if (checkpoints != nullptr) ++*checkpoints;
-      const __m256d vrem = _mm256_set1_pd(static_cast<double>(len - i));
-      __m256d vub[kQuads];
-      bool hopeless = true;
-      bool any_safe = false;
-      for (int q = 0; q < kQuads; ++q) {
-        const __m256d peak_gt = _mm256_cmp_pd(vy[q], vzero, _CMP_GT_OQ);
-        const __m256d vpeak = _mm256_blendv_pd(vzero, vy[q], peak_gt);
-        __m256d ub =
-            _mm256_add_pd(vpeak, _mm256_mul_pd(vrem, vmargin[q]));
-        const __m256d zgt = _mm256_cmp_pd(vz[q], ub, _CMP_GT_OQ);
-        ub = _mm256_blendv_pd(ub, vz[q], zgt);
-        vub[q] = ub;
-        const __m256d lt = _mm256_cmp_pd(ub, vtarget, _CMP_LT_OQ);
-        if (_mm256_movemask_pd(lt) != 0xF) hopeless = false;
-        const __m256d zge = _mm256_cmp_pd(vz[q], vtarget, _CMP_GE_OQ);
-        if (_mm256_movemask_pd(zge) != 0) any_safe = true;
-      }
-      if (hopeless) {
-        alignas(32) double ub_out[4];
-        alignas(32) int64_t begin_out[4];
-        alignas(32) int64_t end_out[4];
-        for (int q = 0; q < kQuads; ++q) {
-          _mm256_store_pd(ub_out, vub[q]);
-          _mm256_store_si256(reinterpret_cast<__m256i*>(begin_out),
-                             vbbegin[q]);
-          _mm256_store_si256(reinterpret_cast<__m256i*>(end_out), vbend[q]);
-          for (size_t m = 0; m < 4; ++m) {
-            out[4 * q + m].log_sim = ub_out[m];
-            out[4 * q + m].best_begin = static_cast<size_t>(begin_out[m]);
-            out[4 * q + m].best_end = static_cast<size_t>(end_out[m]);
-            exact[4 * q + m] = 0;
-          }
-        }
-        return static_cast<size_t>(kQuads) * 4;
-      }
-      if (any_safe) {
-        // Some lane's Z already reached the target; its bound can never
-        // drop below it again, so the group can never go all-hopeless.
-        next_check = len;
-      } else {
-        interval = std::min(interval * 2, kBoundCheckMax);
-        next_check = i + interval;
-      }
-    }
-    const __m128i vs = _mm_set1_epi32(symbols[i]);
-    const __m256i vi = _mm256_set1_epi64x(static_cast<long long>(i));
-    const __m256i vend = _mm256_set1_epi64x(static_cast<long long>(i + 1));
-    for (int q = 0; q < kQuads; ++q) {
-      const __m128i vg = _mm_add_epi32(vrow[q], vs);
-      const __m256d vx = GatherRatio(entries, vg);
-      const __m128i vnext = GatherNext(entries, vg);
-      vrow[q] = _mm_add_epi32(vbase[q], vnext);
-
-      const __m256d vextend = _mm256_add_pd(vy[q], vx);
-      const __m256d restart = _mm256_cmp_pd(vextend, vx, _CMP_LT_OQ);
-      vy[q] = _mm256_blendv_pd(vextend, vx, restart);
-      vybegin[q] = _mm256_castpd_si256(_mm256_blendv_pd(
-          _mm256_castsi256_pd(vybegin[q]), _mm256_castsi256_pd(vi), restart));
-
-      const __m256d gt = _mm256_cmp_pd(vy[q], vz[q], _CMP_GT_OQ);
-      vz[q] = _mm256_blendv_pd(vz[q], vy[q], gt);
-      vbbegin[q] = _mm256_castpd_si256(
-          _mm256_blendv_pd(_mm256_castsi256_pd(vbbegin[q]),
-                           _mm256_castsi256_pd(vybegin[q]), gt));
-      vbend[q] = _mm256_castpd_si256(_mm256_blendv_pd(
-          _mm256_castsi256_pd(vbend[q]), _mm256_castsi256_pd(vend), gt));
-    }
-  }
-
-  alignas(32) double z_out[4];
-  alignas(32) int64_t begin_out[4];
-  alignas(32) int64_t end_out[4];
-  for (int q = 0; q < kQuads; ++q) {
-    _mm256_store_pd(z_out, vz[q]);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(begin_out), vbbegin[q]);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(end_out), vbend[q]);
-    for (size_t m = 0; m < 4; ++m) {
-      out[4 * q + m].log_sim = z_out[m];
-      out[4 * q + m].best_begin = static_cast<size_t>(begin_out[m]);
-      out[4 * q + m].best_end = static_cast<size_t>(end_out[m]);
-    }
-  }
-  return 0;
-}
-
 }  // namespace
 
 void ScanBlockAvx2(const FrozenBank::Entry* entries, const uint32_t* bases,
@@ -351,37 +174,6 @@ void ScanBlockAvx2(const FrozenBank::Entry* entries, const uint32_t* bases,
     ScanBlockScalar(entries, bases + m, num_models - m, symbols, len,
                     out + m);
   }
-}
-
-size_t ScanBlockAvx2Bounded(const FrozenBank::Entry* entries,
-                            const uint32_t* bases, size_t num_models,
-                            const SymbolId* symbols, size_t len,
-                            const double* margins, double target,
-                            SimilarityResult* out, uint8_t* exact,
-                            size_t* checkpoints) {
-  size_t abandoned = 0;
-  size_t m = 0;
-  for (; m + 16 <= num_models; m += 16) {
-    abandoned += ScanGroupAvx2Bounded<4>(entries, bases + m, symbols, len,
-                                         margins + m, target, out + m,
-                                         exact + m, checkpoints);
-  }
-  for (; m + 8 <= num_models; m += 8) {
-    abandoned += ScanGroupAvx2Bounded<2>(entries, bases + m, symbols, len,
-                                         margins + m, target, out + m,
-                                         exact + m, checkpoints);
-  }
-  for (; m + 4 <= num_models; m += 4) {
-    abandoned += ScanGroupAvx2Bounded<1>(entries, bases + m, symbols, len,
-                                         margins + m, target, out + m,
-                                         exact + m, checkpoints);
-  }
-  if (m < num_models) {
-    abandoned += ScanBlockScalarBounded(entries, bases + m, num_models - m,
-                                        symbols, len, margins + m, target,
-                                        out + m, exact + m, checkpoints);
-  }
-  return abandoned;
 }
 
 void KadaneColumnsAvx2(const uint8_t* const* cols, size_t len, size_t n,

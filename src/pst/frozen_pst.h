@@ -131,8 +131,8 @@ class FrozenPst {
     return max_symbol_log_ratio_;
   }
 
-  /// max over (state, symbol) of LogRatio — the per-step margin used by the
-  /// in-DP early-abandon bound. Equal to max over max_symbol_log_ratio().
+  /// max over (state, symbol) of LogRatio — caps any single per-position
+  /// term. Equal to max over max_symbol_log_ratio().
   double max_log_ratio() const { return max_log_ratio_; }
 
  private:

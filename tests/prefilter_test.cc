@@ -9,9 +9,8 @@
 //     smoothing-off models; k > 64 so multiple level-0 blocks run; wide
 //     alphabets and every signature tier the byte budget can select),
 //     with both the scalar and dispatched kernels;
-//   * the sparse bank primitives (ScanCandidates / ScanCandidatesBounded)
-//     match ScanAll on their candidate sets, and abandoned lanes hold
-//     admissible bounds strictly below the target;
+//   * the sparse bank primitive (ScanCandidates) matches ScanAll on its
+//     candidate sets;
 //   * BestModel equals the exhaustive first-strict-max argmax, including
 //     the exclude-one form seeding uses;
 //   * whole-clusterer runs with the prefilter on equal prefilter-off runs
@@ -128,7 +127,7 @@ void ExpectThresholdScanMatches(
       EXPECT_EQ(off[m].best_begin, on[m].best_begin) << "model " << m;
       EXPECT_EQ(off[m].best_end, on[m].best_end) << "model " << m;
     } else {
-      // Skipped/abandoned slots hold admissible upper bounds.
+      // Skipped slots hold admissible upper bounds.
       EXPECT_GE(on[m].log_sim, off[m].log_sim) << "model " << m;
     }
     off_best = std::max(off_best, off[m].log_sim);
@@ -379,39 +378,61 @@ TEST(PrefilterBankPrimitivesTest, SparseCandidateScansMatchScanAll) {
         EXPECT_EQ(off[candidates[j]].best_begin, sparse[j].best_begin);
         EXPECT_EQ(off[candidates[j]].best_end, sparse[j].best_end);
       }
+    }
+  }
+}
 
-      // Bounded scan: exact lanes are bit-for-bit; abandoned lanes hold an
-      // admissible bound strictly below the target.
-      std::vector<double> scores;
-      for (const uint32_t c : candidates) scores.push_back(off[c].log_sim);
-      std::sort(scores.begin(), scores.end());
-      const double target = scores.empty() ? 0.0 : scores[scores.size() / 2];
-      std::vector<SimilarityResult> bounded(candidates.size());
-      std::vector<uint8_t> exact(candidates.size());
-      bank.ScanCandidatesBounded(query, candidates, target, bounded.data(),
-                                 exact.data());
-      for (size_t j = 0; j < candidates.size(); ++j) {
-        const SimilarityResult& want = off[candidates[j]];
-        if (exact[j]) {
-          EXPECT_EQ(want.log_sim, bounded[j].log_sim);
-          EXPECT_EQ(want.best_begin, bounded[j].best_begin);
-          EXPECT_EQ(want.best_end, bounded[j].best_end);
-        } else {
-          EXPECT_GE(bounded[j].log_sim, want.log_sim);
-          EXPECT_LT(bounded[j].log_sim, target);
+TEST(PrefilterBankPrimitivesTest, Avx2KadaneKernelsMatchScalar) {
+#ifndef CLUSEQ_HAVE_AVX2
+  GTEST_SKIP() << "AVX2 kernels not compiled in";
+#else
+  if (!FrozenBank::SimdAvailable()) GTEST_SKIP() << "CPU lacks AVX2";
+  // Both loop shapes are called directly: SignatureKadaneDense picks the
+  // position-outer kernel only for tables past 4 MiB, which no test bank
+  // reaches. len spans the int16 → int32 state switch (len · 191 fits
+  // int16 through len = 171), and no n is a multiple of 16, so every
+  // vector width leaves a scalar remainder.
+  Rng rng(505);
+  for (const size_t len : {size_t{1}, size_t{170}, size_t{171}, size_t{172},
+                           size_t{600}}) {
+    for (const size_t n : {size_t{5}, size_t{37}, size_t{203}}) {
+      // Columns: uniform codes, codes around the zero point (windows keep
+      // breaking), all-max (the largest possible sums), all-min.
+      for (int fill = 0; fill < 4; ++fill) {
+        std::vector<std::vector<uint8_t>> storage(len,
+                                                  std::vector<uint8_t>(n));
+        std::vector<const uint8_t*> cols(len);
+        for (size_t i = 0; i < len; ++i) {
+          for (uint8_t& v : storage[i]) {
+            v = fill == 0   ? static_cast<uint8_t>(rng.Uniform(256))
+                : fill == 1 ? static_cast<uint8_t>(rng.Uniform(129))
+                : fill == 2 ? uint8_t{255}
+                            : uint8_t{0};
+          }
+          cols[i] = storage[i].data();
         }
-        // Every lane whose true score reaches the target must be exact.
-        if (want.log_sim >= target) EXPECT_TRUE(exact[j] != 0);
+        std::vector<int32_t> want(n);
+        std::vector<int32_t> outer(n, -1);
+        std::vector<int32_t> striped(n, -1);
+        internal::KadaneColumnsScalar(cols.data(), len, n, want.data());
+        internal::KadaneColumnsAvx2(cols.data(), len, n, outer.data());
+        internal::KadaneColumnsAvx2Striped(cols.data(), len, n,
+                                           striped.data());
+        EXPECT_EQ(want, outer) << "len " << len << " n " << n << " fill "
+                               << fill;
+        EXPECT_EQ(want, striped) << "len " << len << " n " << n << " fill "
+                                 << fill;
       }
     }
   }
+#endif
 }
 
 SequenceDatabase SkewedDb(uint64_t seed) {
   // Separable enough (wide alphabet, tight spread) that admissible bounds
   // actually prune cross-cluster pairs — the vacuousness guard below
   // depends on it — while outliers and the length skew keep the residual
-  // restoration and early-abandon paths busy.
+  // restoration path busy.
   SyntheticDatasetOptions opts;
   opts.num_clusters = 6;
   opts.sequences_per_cluster = 12;
@@ -479,17 +500,12 @@ TEST(PrefilterClustererTest, OnOffBitForBitAcrossThreadCounts) {
                          " threads")
                             .c_str());
     // Guard against a vacuous pass: the prefilter must actually have
-    // pruned or early-abandoned something in these runs, not just been
-    // gated off (exactly that hid a lane-compaction bug in the bounded
-    // scalar kernel once).
+    // pruned something in these runs, not just been gated off.
     double total_skip = 0.0;
-    size_t total_early = 0;
     for (const IterationStats& it : result.iteration_stats) {
       total_skip += it.prefilter_skip_ratio;
-      total_early += it.prefilter_dp_early_exits;
     }
-    EXPECT_GT(total_skip + static_cast<double>(total_early), 0.0)
-        << threads << " threads";
+    EXPECT_GT(total_skip, 0.0) << threads << " threads";
   }
 }
 
@@ -527,10 +543,7 @@ TEST(PrefilterClustererTest, OnOffBitForBitWithThresholdAdjustment) {
     // whole point of the censored floor is pruning *during* adjustment.
     ASSERT_FALSE(result.iteration_stats.empty());
     const IterationStats& first = result.iteration_stats.front();
-    EXPECT_GT(first.prefilter_skip_ratio +
-                  static_cast<double>(first.prefilter_dp_early_exits),
-              0.0)
-        << threads << " threads";
+    EXPECT_GT(first.prefilter_skip_ratio, 0.0) << threads << " threads";
   }
 }
 

@@ -771,7 +771,7 @@ void PrintUsage() {
                "           --sig_budget_mb: per-bank byte budget picking "
                "the prefilter\n"
                "           signature tier (trigram/bigram/unigram, default "
-               "64; perf-only)\n"
+               "32; perf-only)\n"
                "           --prefilter_l15: symbols covered by the "
                "level-1.5 truncated-\n"
                "           prefix bound (default 96, 0 disables; "
