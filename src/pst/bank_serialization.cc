@@ -123,7 +123,7 @@ Status CheckSection(const char* data, size_t table_index, uint32_t want_id,
   return Status::OK();
 }
 
-// --- persistence metrics (names shared with pst_serialization.cc) --------
+// --- persistence metrics ------------------------------------------------
 
 void RecordBytesWritten(size_t n) {
   static obs::Counter& bytes =
@@ -164,7 +164,7 @@ Status TrackCorruption(Status st) {
 }  // namespace
 
 // Accesses FrozenBank internals on behalf of the .fbank save/load
-// functions (mirrors PstSerializer for the single-model formats).
+// functions.
 class BankSerializer {
  public:
   static Status Save(const FrozenBank& bank, std::string* blob) {

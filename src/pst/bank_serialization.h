@@ -1,11 +1,13 @@
 // .fbank: a single-file, mmap-able, checksummed snapshot *set* — all k
-// cluster models of a FrozenBank in one blob (DESIGN.md §11).
+// cluster models of a FrozenBank in one blob (DESIGN.md §11). It is the
+// one served model artifact: `cluseq_cli cluster --model-dir` writes only
+// bank.fbank and `classify` reads only that file.
 //
 // The bank's arena is already position-independent bytes (Entry::next
 // holds model-local row offsets), so the file is the arena plus a layout
 // description, and loading is validation plus a pointer fixup: sharded
 // serving workers that mmap the same .fbank share page-cache pages
-// instead of each rebuilding k .fpst models.
+// instead of each recompiling k models from their trees.
 //
 // Layout (little-endian; every multi-byte field at its natural offset):
 //

@@ -45,8 +45,8 @@
 // the scan produces bit-for-bit the same per-position log ratios as the
 // live root-walk path; tests/frozen_pst_equivalence_test.cc holds the
 // property. The BackgroundModel's log p(s) is baked into the tables, so a
-// frozen model is a self-contained scoring artifact (see PstSerializer for
-// the on-disk form).
+// frozen model is a self-contained scoring artifact; FrozenBank bundles k
+// of them, and the .fbank file (pst/bank_serialization.h) persists that.
 
 #ifndef CLUSEQ_PST_FROZEN_PST_H_
 #define CLUSEQ_PST_FROZEN_PST_H_
@@ -136,11 +136,8 @@ class FrozenPst {
   double max_log_ratio() const { return max_log_ratio_; }
 
  private:
-  friend class PstSerializer;
-
   /// Rebuilds max_symbol_log_ratio_/max_log_ratio_ from log_ratio_. Called
-  /// at the end of freezing and after deserialization (the .fpst format
-  /// stores only the tables; derived bounds are recomputed on load).
+  /// at the end of freezing.
   void ComputeDerived();
 
   size_t alphabet_size_ = 0;
@@ -148,7 +145,7 @@ class FrozenPst {
   // Flat state-major tables, one row of `alphabet_size_` entries per state.
   std::vector<State> next_;
   std::vector<double> log_ratio_;
-  // Per-state context length (diagnostics, serialization validation).
+  // Per-state context length (suffix-link construction, diagnostics).
   std::vector<uint32_t> depth_;
   // Derived bound metadata (see accessors above).
   std::vector<double> max_symbol_log_ratio_;

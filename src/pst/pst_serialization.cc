@@ -1,28 +1,23 @@
 #include "pst/pst_serialization.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <istream>
 #include <iterator>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "util/crc32c.h"
-#include "util/file_io.h"
-#include "util/stopwatch.h"
 
 namespace cluseq {
 
 namespace {
 
 constexpr char kMagic[4] = {'P', 'S', 'T', '2'};
-constexpr char kFrozenMagic[4] = {'F', 'P', 'T', '2'};
 
-// Every serialized blob ends in a CRC32C of all preceding bytes; nothing
+// A serialized PST ends in a CRC32C of all preceding bytes; nothing
 // after the magic is parsed before the checksum verifies.
 constexpr size_t kChecksumBytes = sizeof(uint32_t);
 
@@ -38,28 +33,26 @@ bool ReadPod(std::istream& in, T* value) {
 }
 
 /// Appends the payload's CRC32C and hands the whole blob to `out`.
-Status SealAndEmit(const std::string& payload, std::ostream& out,
-                   const char* what) {
+Status SealAndEmit(const std::string& payload, std::ostream& out) {
   uint32_t crc = Crc32c(payload);
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
   if (!out) {
-    return Status::IOError(std::string(what) + " write failed");
+    return Status::IOError("PST write failed");
   }
   return Status::OK();
 }
 
 /// Splits `blob` into payload + trailing CRC and verifies the checksum.
-Status VerifyChecksum(const std::string& blob, const char* what,
-                      std::string_view* payload) {
+Status VerifyChecksum(const std::string& blob, std::string_view* payload) {
   if (blob.size() < sizeof(kMagic) + kChecksumBytes) {
-    return Status::Corruption(std::string(what) + " blob too short");
+    return Status::Corruption("PST blob too short");
   }
   const size_t payload_size = blob.size() - kChecksumBytes;
   uint32_t stored = 0;
   std::memcpy(&stored, blob.data() + payload_size, kChecksumBytes);
   if (Crc32c(blob.data(), payload_size) != stored) {
-    return Status::Corruption(std::string(what) + " checksum mismatch");
+    return Status::Corruption("PST checksum mismatch");
   }
   *payload = std::string_view(blob.data(), payload_size);
   return Status::OK();
@@ -68,24 +61,6 @@ Status VerifyChecksum(const std::string& blob, const char* what,
 std::string Slurp(std::istream& in) {
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
-}
-
-// --- persistence metrics (names shared with bank_serialization.cc) -------
-
-void RecordBytesWritten(size_t n) {
-  static obs::Counter& bytes =
-      obs::MetricsRegistry::Get().GetCounter("persistence.bytes_written");
-  bytes.Add(n);
-}
-
-void RecordLoad(double seconds, size_t bytes_read) {
-  static obs::Histogram& load_seconds =
-      obs::MetricsRegistry::Get().GetHistogram(
-          "persistence.load_seconds", obs::ExponentialBounds(1e-5, 4.0, 12));
-  static obs::Counter& bytes =
-      obs::MetricsRegistry::Get().GetCounter("persistence.bytes_read");
-  load_seconds.Observe(seconds);
-  bytes.Add(bytes_read);
 }
 
 /// Funnels every load result through the corruption counter, so all
@@ -144,7 +119,7 @@ class PstSerializer {
         WritePod(buffer, cnt);
       }
     }
-    return SealAndEmit(buffer.str(), out, "PST");
+    return SealAndEmit(buffer.str(), out);
   }
 
   static Status Load(std::string_view payload, Pst* pst) {
@@ -239,165 +214,17 @@ class PstSerializer {
     *pst = std::move(loaded);
     return Status::OK();
   }
-
-  static Status SaveFrozen(const FrozenPst& pst, std::ostream& out) {
-    std::ostringstream buffer;
-    buffer.write(kFrozenMagic, sizeof(kFrozenMagic));
-    WritePod(buffer, static_cast<uint64_t>(pst.alphabet_size_));
-    WritePod(buffer, static_cast<uint64_t>(pst.max_depth_));
-    WritePod(buffer, static_cast<uint64_t>(pst.depth_.size()));
-    WriteVec(buffer, pst.depth_);
-    WriteVec(buffer, pst.next_);
-    WriteVec(buffer, pst.log_ratio_);
-    return SealAndEmit(buffer.str(), out, "frozen PST");
-  }
-
-  static Status LoadFrozen(std::string_view payload, FrozenPst* pst) {
-    std::istringstream in{std::string(payload)};
-    char magic[4];
-    in.read(magic, sizeof(magic));
-    if (!in || std::memcmp(magic, kFrozenMagic, sizeof(kFrozenMagic)) != 0) {
-      return Status::Corruption("bad frozen PST magic");
-    }
-    uint64_t alphabet_size = 0, max_depth = 0, num_states = 0;
-    if (!ReadPod(in, &alphabet_size) || !ReadPod(in, &max_depth) ||
-        !ReadPod(in, &num_states)) {
-      return Status::Corruption("truncated frozen PST header");
-    }
-    // Sanity caps before any allocation, then an exact size equation: the
-    // payload length is fully determined by the header, so any mismatch —
-    // truncation or padding — is corruption even with a fixed-up CRC.
-    if (num_states == 0 || num_states > (1ULL << 28) || alphabet_size == 0 ||
-        alphabet_size > (1ULL << 24) ||
-        num_states * alphabet_size > (1ULL << 32) ||
-        max_depth > (1ULL << 32)) {
-      return Status::Corruption("implausible frozen PST header sizes");
-    }
-    const size_t n = static_cast<size_t>(num_states);
-    const size_t cells = n * static_cast<size_t>(alphabet_size);
-    const size_t expected = sizeof(kFrozenMagic) + 3 * sizeof(uint64_t) +
-                            n * sizeof(uint32_t) +
-                            cells * (sizeof(FrozenPst::State) + sizeof(double));
-    if (payload.size() != expected) {
-      return Status::Corruption("frozen PST size mismatch");
-    }
-    FrozenPst loaded;
-    loaded.alphabet_size_ = static_cast<size_t>(alphabet_size);
-    loaded.max_depth_ = static_cast<size_t>(max_depth);
-    if (!ReadVec(in, n, &loaded.depth_) ||
-        !ReadVec(in, cells, &loaded.next_) ||
-        !ReadVec(in, cells, &loaded.log_ratio_)) {
-      return Status::Corruption("truncated frozen PST body");
-    }
-    // Structural validation so a corrupted file cannot make Step() walk out
-    // of the tables: every transition in range, depths within bound and
-    // non-decreasing (the compiler emits states depth-major).
-    if (loaded.depth_[0] != 0) {
-      return Status::Corruption("frozen PST root has nonzero depth");
-    }
-    for (size_t s = 0; s < n; ++s) {
-      if (loaded.depth_[s] > loaded.max_depth_ ||
-          (s > 0 && loaded.depth_[s] < loaded.depth_[s - 1])) {
-        return Status::Corruption("frozen PST depths out of order");
-      }
-    }
-    for (FrozenPst::State t : loaded.next_) {
-      if (t >= n) {
-        return Status::Corruption("frozen PST transition out of range");
-      }
-    }
-    // Log ratios feed the scan DP unchecked, so NaN and +inf must never
-    // get in (-inf is legitimate: smoothing-off zero-probability rows).
-    for (double r : loaded.log_ratio_) {
-      if (std::isnan(r) || r == std::numeric_limits<double>::infinity()) {
-        return Status::Corruption("frozen PST log-ratio is NaN or +inf");
-      }
-    }
-    // The on-disk format stores only the tables; per-symbol max log-ratios
-    // (prefilter bound metadata) are derived, so rebuild them here.
-    loaded.ComputeDerived();
-    *pst = std::move(loaded);
-    return Status::OK();
-  }
-
- private:
-  template <typename T>
-  static void WriteVec(std::ostream& out, const std::vector<T>& v) {
-    out.write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(T)));
-  }
-
-  template <typename T>
-  static bool ReadVec(std::istream& in, size_t count, std::vector<T>* v) {
-    v->resize(count);
-    in.read(reinterpret_cast<char*>(v->data()),
-            static_cast<std::streamsize>(count * sizeof(T)));
-    return static_cast<bool>(in);
-  }
 };
 
 Status SavePst(const Pst& pst, std::ostream& out) {
   return PstSerializer::Save(pst, out);
 }
 
-Status SavePstToFile(const Pst& pst, const std::string& path) {
-  std::ostringstream buffer;
-  CLUSEQ_RETURN_NOT_OK(SavePst(pst, buffer));
-  std::string blob = buffer.str();
-  CLUSEQ_RETURN_NOT_OK(WriteFileAtomic(path, blob));
-  RecordBytesWritten(blob.size());
-  return Status::OK();
-}
-
 Status LoadPst(std::istream& in, Pst* pst) {
   std::string blob = Slurp(in);
   std::string_view payload;
-  CLUSEQ_RETURN_NOT_OK(TrackCorruption(VerifyChecksum(blob, "PST", &payload)));
+  CLUSEQ_RETURN_NOT_OK(TrackCorruption(VerifyChecksum(blob, &payload)));
   return TrackCorruption(PstSerializer::Load(payload, pst));
-}
-
-Status LoadPstFromFile(const std::string& path, Pst* pst) {
-  Stopwatch timer;
-  std::string blob;
-  CLUSEQ_RETURN_NOT_OK(ReadFileToString(path, &blob));
-  std::string_view payload;
-  CLUSEQ_RETURN_NOT_OK(TrackCorruption(VerifyChecksum(blob, "PST", &payload)));
-  CLUSEQ_RETURN_NOT_OK(TrackCorruption(PstSerializer::Load(payload, pst)));
-  RecordLoad(timer.ElapsedSeconds(), blob.size());
-  return Status::OK();
-}
-
-Status SaveFrozenPst(const FrozenPst& pst, std::ostream& out) {
-  return PstSerializer::SaveFrozen(pst, out);
-}
-
-Status SaveFrozenPstToFile(const FrozenPst& pst, const std::string& path) {
-  std::ostringstream buffer;
-  CLUSEQ_RETURN_NOT_OK(SaveFrozenPst(pst, buffer));
-  std::string blob = buffer.str();
-  CLUSEQ_RETURN_NOT_OK(WriteFileAtomic(path, blob));
-  RecordBytesWritten(blob.size());
-  return Status::OK();
-}
-
-Status LoadFrozenPst(std::istream& in, FrozenPst* pst) {
-  std::string blob = Slurp(in);
-  std::string_view payload;
-  CLUSEQ_RETURN_NOT_OK(
-      TrackCorruption(VerifyChecksum(blob, "frozen PST", &payload)));
-  return TrackCorruption(PstSerializer::LoadFrozen(payload, pst));
-}
-
-Status LoadFrozenPstFromFile(const std::string& path, FrozenPst* pst) {
-  Stopwatch timer;
-  std::string blob;
-  CLUSEQ_RETURN_NOT_OK(ReadFileToString(path, &blob));
-  std::string_view payload;
-  CLUSEQ_RETURN_NOT_OK(
-      TrackCorruption(VerifyChecksum(blob, "frozen PST", &payload)));
-  CLUSEQ_RETURN_NOT_OK(TrackCorruption(PstSerializer::LoadFrozen(payload, pst)));
-  RecordLoad(timer.ElapsedSeconds(), blob.size());
-  return Status::OK();
 }
 
 }  // namespace cluseq

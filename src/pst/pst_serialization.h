@@ -1,4 +1,6 @@
-// Binary serialization for trained PSTs and compiled scoring snapshots.
+// Binary serialization for trained PSTs (live trees). Checkpoints embed
+// these blobs (core/checkpoint.h); the served model artifact is the
+// .fbank (pst/bank_serialization.h).
 //
 // Live-tree format (little-endian):
 //   magic "PST2" | u64 alphabet_size | PstOptions fields | u64 node_count |
@@ -7,30 +9,19 @@
 // Node indices in the file are dense pre-order positions, so tombstones in
 // the in-memory arena are compacted away on save.
 //
-// Frozen-snapshot format (little-endian):
-//   magic "FPT2" | u64 alphabet_size | u64 max_depth | u64 num_states |
-//   u32 depth[num_states] | u32 next[num_states × alphabet] |
-//   f64 log_ratio[num_states × alphabet] | u32 crc32c of all prior bytes
-// A snapshot deserializes straight into scoring shape — no recompilation,
-// no background model needed at load time (the ratios are baked in).
-//
-// Durability and validation (DESIGN.md §11): both formats end in a CRC32C
-// of every preceding byte, verified before any field is parsed, so bit rot
+// Durability and validation (DESIGN.md §11): the blob ends in a CRC32C of
+// every preceding byte, verified before any field is parsed, so bit rot
 // and truncation are rejected up front; the structural checks behind the
-// checksum (size caps, exact body length, transition ranges, finite log
-// ratios) then hold even against an adversary who fixes up the CRC. The
-// *ToFile writers go through util/file_io.h's WriteFileAtomic, so a crash
-// mid-save never leaves a partial file at the final path. Loads that fail
-// these checks return Status::Corruption and bump the
-// persistence.corruption_detected counter.
+// checksum (size caps, pre-order parents, probability vectors within the
+// alphabet, no trailing bytes) then hold even against an adversary who
+// fixes up the CRC. Loads that fail these checks return Status::Corruption
+// and bump the persistence.corruption_detected counter.
 
 #ifndef CLUSEQ_PST_PST_SERIALIZATION_H_
 #define CLUSEQ_PST_PST_SERIALIZATION_H_
 
 #include <iosfwd>
-#include <string>
 
-#include "pst/frozen_pst.h"
 #include "pst/pst.h"
 #include "util/status.h"
 
@@ -38,19 +29,9 @@ namespace cluseq {
 
 /// Writes `pst` to `out`.
 Status SavePst(const Pst& pst, std::ostream& out);
-Status SavePstToFile(const Pst& pst, const std::string& path);
 
 /// Reads a PST from `in` into `*pst` (replacing its contents).
 Status LoadPst(std::istream& in, Pst* pst);
-Status LoadPstFromFile(const std::string& path, Pst* pst);
-
-/// Writes a compiled scoring snapshot to `out`.
-Status SaveFrozenPst(const FrozenPst& pst, std::ostream& out);
-Status SaveFrozenPstToFile(const FrozenPst& pst, const std::string& path);
-
-/// Reads a snapshot from `in` into `*pst` (replacing its contents).
-Status LoadFrozenPst(std::istream& in, FrozenPst* pst);
-Status LoadFrozenPstFromFile(const std::string& path, FrozenPst* pst);
 
 }  // namespace cluseq
 

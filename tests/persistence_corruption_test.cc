@@ -1,4 +1,5 @@
-// Corruption sweeps over every on-disk model format (.pst, .fpst, .fbank):
+// Corruption sweeps over both checksummed model encodings — the served
+// .fbank bank file and the PST2 live-tree stream that checkpoints embed:
 // every-offset truncation and every-single-bit flips must be rejected with
 // Status::Corruption (or IOError at the file layer) — never a crash, which
 // the CI sanitizer job turns into a hard check. On top of the checksums,
@@ -59,21 +60,16 @@ struct Fixtures {
     EXPECT_TRUE(SavePst(pst, pst_out).ok());
     pst_blob = pst_out.str();
 
-    auto frozen = std::make_shared<const FrozenPst>(pst, background);
-    std::ostringstream fpst_out;
-    EXPECT_TRUE(SaveFrozenPst(*frozen, fpst_out).ok());
-    fpst_blob = fpst_out.str();
-
     Pst second(alphabet, options);
     second.InsertSequence(RandomText(30, alphabet, &rng));
-    bank.Assemble({frozen,
+    bank.Assemble({std::make_shared<const FrozenPst>(pst, background),
                    std::make_shared<const FrozenPst>(second, background)});
     EXPECT_TRUE(SaveFrozenBank(bank, &fbank_blob).ok());
   }
 
   BackgroundModel background;
   FrozenBank bank;
-  std::string pst_blob, fpst_blob, fbank_blob;
+  std::string pst_blob, fbank_blob;
 };
 
 const Fixtures& Fix() {
@@ -85,12 +81,6 @@ Status TryLoadPst(const std::string& blob) {
   std::istringstream in(blob);
   Pst pst(1, PstOptions{});
   return LoadPst(in, &pst);
-}
-
-Status TryLoadFrozenPst(const std::string& blob) {
-  std::istringstream in(blob);
-  FrozenPst pst;
-  return LoadFrozenPst(in, &pst);
 }
 
 Status TryLoadBank(const std::string& blob) {
@@ -108,7 +98,6 @@ struct Format {
 
 std::vector<Format> AllFormats() {
   return {{".pst", Fix().pst_blob, &TryLoadPst},
-          {".fpst", Fix().fpst_blob, &TryLoadFrozenPst},
           {".fbank", Fix().fbank_blob, &TryLoadBank}};
 }
 
@@ -278,29 +267,6 @@ TEST(PersistenceCorruptionTest, FbankHostileEntriesWithFixedCrcs) {
     blob.replace(t1, kFbankSectionEntryBytes, a);
     FixupFbankCrcs(&blob);
     EXPECT_TRUE(TryLoadBank(blob).IsCorruption()) << "shuffled sections";
-  }
-}
-
-TEST(PersistenceCorruptionTest, FrozenPstHostileHeaderWithFixedCrc) {
-  const std::string& clean = Fix().fpst_blob;
-  // Layout: magic(4) | u64 alphabet | u64 max_depth | u64 num_states | ...
-  struct Case {
-    const char* what;
-    size_t offset;
-    uint64_t value;
-  };
-  const Case cases[] = {
-      {"alphabet zero", 4, 0},
-      {"alphabet huge", 4, 1ULL << 40},
-      {"num_states huge (allocation bomb)", 20, 1ULL << 40},
-      {"num_states off by one", 20, ReadU64(clean, 20) + 1},
-  };
-  for (const Case& c : cases) {
-    std::string blob = clean;
-    Poke<uint64_t>(&blob, c.offset, c.value);
-    Poke<uint32_t>(&blob, blob.size() - 4,
-                   Crc32c(blob.data(), blob.size() - 4));
-    EXPECT_TRUE(TryLoadFrozenPst(blob).IsCorruption()) << c.what;
   }
 }
 

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "seq/background_model.h"
 #include "util/rng.h"
 
 namespace cluseq {
@@ -124,100 +123,6 @@ TEST(PstSerializationTest, TruncatedStreamIsCorruption) {
   std::stringstream truncated(data.substr(0, data.size() / 2));
   Pst loaded(1, PstOptions{});
   EXPECT_FALSE(LoadPst(truncated, &loaded).ok());
-}
-
-TEST(PstSerializationTest, FileRoundTrip) {
-  Pst pst(3, PstOptions{});
-  pst.InsertSequence(RandomText(100, 3, 21));
-  std::string path = ::testing::TempDir() + "/cluseq_pst_test.bin";
-  ASSERT_TRUE(SavePstToFile(pst, path).ok());
-  Pst loaded(1, PstOptions{});
-  ASSERT_TRUE(LoadPstFromFile(path, &loaded).ok());
-  EXPECT_EQ(loaded.total_symbols(), 100u);
-}
-
-TEST(PstSerializationTest, MissingFileIsIOError) {
-  Pst loaded(1, PstOptions{});
-  EXPECT_TRUE(LoadPstFromFile("/no/such/file.pst", &loaded).IsIOError());
-}
-
-FrozenPst TrainedFrozen(uint64_t seed) {
-  PstOptions o;
-  o.max_depth = 5;
-  o.significance_threshold = 3;
-  Pst pst(6, o);
-  pst.InsertSequence(RandomText(500, 6, seed));
-  BackgroundModel bg =
-      BackgroundModel::FromCounts({10, 20, 30, 40, 50, 60});
-  return FrozenPst(pst, bg);
-}
-
-TEST(PstSerializationTest, FrozenRoundTripIsExact) {
-  FrozenPst frozen = TrainedFrozen(31);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveFrozenPst(frozen, buffer).ok());
-  FrozenPst loaded;
-  ASSERT_TRUE(LoadFrozenPst(buffer, &loaded).ok());
-
-  ASSERT_EQ(loaded.num_states(), frozen.num_states());
-  ASSERT_EQ(loaded.alphabet_size(), frozen.alphabet_size());
-  EXPECT_EQ(loaded.max_depth(), frozen.max_depth());
-  for (FrozenPst::State s = 0; s < frozen.num_states(); ++s) {
-    EXPECT_EQ(loaded.StateDepth(s), frozen.StateDepth(s));
-    for (SymbolId a = 0; a < frozen.alphabet_size(); ++a) {
-      EXPECT_EQ(loaded.Step(s, a), frozen.Step(s, a));
-      // Bit-for-bit, including any -inf entries.
-      EXPECT_EQ(loaded.LogRatio(s, a), frozen.LogRatio(s, a));
-    }
-  }
-}
-
-TEST(PstSerializationTest, FrozenFileRoundTrip) {
-  FrozenPst frozen = TrainedFrozen(33);
-  std::string path = ::testing::TempDir() + "/cluseq_frozen_test.bin";
-  ASSERT_TRUE(SaveFrozenPstToFile(frozen, path).ok());
-  FrozenPst loaded;
-  ASSERT_TRUE(LoadFrozenPstFromFile(path, &loaded).ok());
-  EXPECT_EQ(loaded.num_states(), frozen.num_states());
-}
-
-TEST(PstSerializationTest, FrozenBadMagicIsCorruption) {
-  std::stringstream buffer;
-  buffer << "PST1";  // A live-tree stream is not a snapshot.
-  FrozenPst loaded;
-  EXPECT_TRUE(LoadFrozenPst(buffer, &loaded).IsCorruption());
-}
-
-TEST(PstSerializationTest, FrozenTruncatedStreamIsCorruption) {
-  FrozenPst frozen = TrainedFrozen(35);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveFrozenPst(frozen, buffer).ok());
-  std::string data = buffer.str();
-  std::stringstream truncated(data.substr(0, data.size() / 3));
-  FrozenPst loaded;
-  EXPECT_FALSE(LoadFrozenPst(truncated, &loaded).ok());
-}
-
-TEST(PstSerializationTest, FrozenOutOfRangeTransitionIsCorruption) {
-  FrozenPst frozen = TrainedFrozen(37);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveFrozenPst(frozen, buffer).ok());
-  std::string data = buffer.str();
-  // Transitions start right after the header and the u32 depth array.
-  const size_t header = 4 + 3 * sizeof(uint64_t);
-  const size_t next_offset = header + frozen.num_states() * sizeof(uint32_t);
-  uint32_t bogus = static_cast<uint32_t>(frozen.num_states());
-  data.replace(next_offset, sizeof(bogus),
-               reinterpret_cast<const char*>(&bogus), sizeof(bogus));
-  std::stringstream corrupted(data);
-  FrozenPst loaded;
-  EXPECT_TRUE(LoadFrozenPst(corrupted, &loaded).IsCorruption());
-}
-
-TEST(PstSerializationTest, FrozenMissingFileIsIOError) {
-  FrozenPst loaded;
-  EXPECT_TRUE(
-      LoadFrozenPstFromFile("/no/such/file.fpst", &loaded).IsIOError());
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 //   import    convert a FASTA/TSV corpus to the indexed .sqdb store
 //   export    convert a .sqdb store back to FASTA/TSV
 //   cluster   cluster a dataset and write per-sequence assignments
-//   classify  score sequences against previously saved cluster PSTs
+//   classify  score sequences against a previously saved bank.fbank
 //
 // Examples:
 //   cluseq_cli generate --kind=protein --out=prot.fasta --scale=0.05
@@ -462,29 +462,18 @@ int RunCluster(CommonFlags& flags) {
   } else if (!flags.model_dir.empty()) {
     st = EnsureDirectory(flags.model_dir);
     if (!st.ok()) return Fail(st, "model-dir");
+    // One mmap-able .fbank of compiled snapshots (training background
+    // baked in): the only served model artifact, and what classify reads.
+    // Snapshots of one run share its alphabet and are never empty, so any
+    // run with at least one cluster is bankable.
     std::vector<std::shared_ptr<const FrozenPst>> snapshots;
-    for (size_t c = 0; c < clusterer.clusters().size(); ++c) {
-      std::string base = flags.model_dir + "/cluster" + std::to_string(c);
-      // The live tree (retrainable) and the compiled snapshot (scoring-only,
-      // training background baked in) side by side; classify prefers the
-      // snapshot.
-      st = SavePstToFile(clusterer.clusters()[c].pst(), base + ".pst");
-      if (!st.ok()) return Fail(st, "save model");
-      auto frozen = std::make_shared<FrozenPst>(clusterer.clusters()[c].pst(),
-                                                clusterer.background());
-      st = SaveFrozenPstToFile(*frozen, base + ".fpst");
-      if (!st.ok()) return Fail(st, "save snapshot");
-      snapshots.push_back(std::move(frozen));
+    for (const Cluster& cluster : clusterer.clusters()) {
+      snapshots.push_back(std::make_shared<const FrozenPst>(
+          cluster.pst(), clusterer.background()));
     }
-    std::printf("models -> %s/cluster*.{pst,fpst}\n",
-                flags.model_dir.c_str());
-    bool bankable = !snapshots.empty();
-    for (const auto& m : snapshots) {
-      bankable = bankable && !m->empty() &&
-                 m->alphabet_size() == snapshots.front()->alphabet_size();
-    }
-    if (bankable) {
-      // One mmap-able .fbank bundling every snapshot; classify prefers it.
+    if (snapshots.empty()) {
+      std::fprintf(stderr, "cluseq: no clusters; --model-dir left empty\n");
+    } else {
       FrozenBank bank(std::move(snapshots));
       st = SaveFrozenBankToFile(bank, flags.model_dir + "/bank.fbank");
       if (!st.ok()) return Fail(st, "save bank");
@@ -513,94 +502,14 @@ int RunClassify(const CommonFlags& flags) {
                 "classify");
   }
 
-  // Degradation chain: prefer the single .fbank snapshot set (mmap-shared,
-  // one checksummed load), then compiled snapshots (.fpst — score directly,
-  // training background baked in), then live trees (.pst, frozen here
-  // against the input data's background). A corrupt file fails the whole
-  // command under --strict; otherwise it is skipped with a warning (the
-  // loaders bump persistence.corruption_detected) and the next source in
-  // the chain covers for it.
-  size_t skipped = 0;
   FrozenBank bank;
-  bool use_bank = false;
+  FbankLoadInfo info;
   const std::string bank_path = flags.model_dir + "/bank.fbank";
-  if (flags.options.batched_scan && FileExists(bank_path)) {
-    FbankLoadInfo info;
-    Status load = LoadFrozenBankFromFile(bank_path, &bank, {}, &info);
-    if (load.ok()) {
-      use_bank = true;
-      std::printf("loaded %zu models from %s (%s)\n", bank.num_models(),
-                  bank_path.c_str(), info.mmap ? "mmap" : "buffered");
-    } else {
-      if (flags.strict) return Fail(load, "load bank");
-      std::fprintf(stderr,
-                   "warning: skipping %s (%s); falling back to per-cluster "
-                   "models\n",
-                   bank_path.c_str(), load.ToString().c_str());
-      ++skipped;
-    }
-  }
+  st = LoadFrozenBankFromFile(bank_path, &bank, {}, &info);
+  if (!st.ok()) return Fail(st, "load bank");
+  std::printf("loaded %zu models from %s (%s)\n", bank.num_models(),
+              bank_path.c_str(), info.mmap ? "mmap" : "buffered");
 
-  std::vector<std::shared_ptr<const FrozenPst>> models;
-  if (!use_bank) {
-    for (size_t c = 0;; ++c) {
-      std::string path =
-          flags.model_dir + "/cluster" + std::to_string(c) + ".fpst";
-      if (!FileExists(path)) break;
-      auto frozen = std::make_shared<FrozenPst>();
-      Status load = LoadFrozenPstFromFile(path, frozen.get());
-      if (!load.ok()) {
-        if (flags.strict) return Fail(load, "load snapshot");
-        std::fprintf(stderr, "warning: skipping %s (%s)\n", path.c_str(),
-                     load.ToString().c_str());
-        ++skipped;
-        continue;
-      }
-      models.push_back(std::move(frozen));
-    }
-    if (models.empty()) {
-      BackgroundModel background = BackgroundModel::FromDatabase(db);
-      for (size_t c = 0;; ++c) {
-        std::string path =
-            flags.model_dir + "/cluster" + std::to_string(c) + ".pst";
-        if (!FileExists(path)) break;
-        Pst pst(1, PstOptions{});
-        Status load = LoadPstFromFile(path, &pst);
-        if (!load.ok()) {
-          if (flags.strict) return Fail(load, "load model");
-          std::fprintf(stderr, "warning: skipping %s (%s)\n", path.c_str(),
-                       load.ToString().c_str());
-          ++skipped;
-          continue;
-        }
-        models.push_back(std::make_shared<const FrozenPst>(pst, background));
-      }
-    }
-    if (models.empty()) {
-      return Fail(Status::NotFound(StringPrintf(
-                      "no loadable cluster models in %s "
-                      "(%zu skipped as corrupt or unreadable)",
-                      flags.model_dir.c_str(), skipped)),
-                  "classify");
-    }
-    std::printf("loaded %zu models\n", models.size());
-  }
-
-  // One-pass banked scoring when enabled and the models agree on an
-  // alphabet (snapshots from one clustering run always do; the serial loop
-  // stays as the fallback for mixed model directories). A bank mapped from
-  // .fbank is scored as-is.
-  bool bankable = use_bank;
-  if (!use_bank && flags.options.batched_scan) {
-    bankable = true;
-    for (const auto& m : models) {
-      bankable = bankable && !m->empty() &&
-                 m->alphabet_size() == models.front()->alphabet_size();
-    }
-    if (bankable) bank.Assemble(models);
-  }
-
-  const size_t num_models = use_bank ? bank.num_models() : models.size();
   // Score in parallel (each sequence writes only its own slot, so output is
   // identical at any thread count), then print serially in input order.
   std::vector<double> best_sim(db.size(), -1e300);
@@ -611,9 +520,9 @@ int RunClassify(const CommonFlags& flags) {
       [&](size_t i) {
         double best = -1e300;
         size_t best_c = 0;
-        if (bankable && flags.options.prefilter) {
+        if (flags.options.prefilter) {
           // Pruned argmax scan; exact value and the same smallest-index
-          // tie-break as the exhaustive loops below.
+          // tie-break as the exhaustive loop below.
           const ScanPrefilter prefilter(&bank);
           double value = 0.0;
           const int32_t m = prefilter.BestModel(db.Symbols(i), &value);
@@ -621,20 +530,12 @@ int RunClassify(const CommonFlags& flags) {
             best = value;
             best_c = static_cast<size_t>(m);
           }
-        } else if (bankable) {
-          std::vector<SimilarityResult> sims(num_models);
+        } else {
+          std::vector<SimilarityResult> sims(bank.num_models());
           bank.ScanAll(db.Symbols(i), sims.data());
-          for (size_t c = 0; c < num_models; ++c) {
+          for (size_t c = 0; c < sims.size(); ++c) {
             if (sims[c].log_sim > best) {
               best = sims[c].log_sim;
-              best_c = c;
-            }
-          }
-        } else {
-          for (size_t c = 0; c < num_models; ++c) {
-            double s = ComputeSimilarity(*models[c], db.Symbols(i)).log_sim;
-            if (s > best) {
-              best = s;
               best_c = c;
             }
           }
@@ -803,15 +704,15 @@ void PrintUsage() {
                "  report-diff --validate FILE     (parse-check one report)\n"
                "           exit 0 = ok, 1 = threshold breached, 2 = usage/"
                "schema error\n"
-               "  classify --input=PATH --model-dir=DIR "
-               "[--batched_scan=on|off] [--prefilter=on|off] [--strict]\n"
+               "  classify --input=PATH --model-dir=DIR [--prefilter=on|off]\n"
                "           [--threads=N] [--metrics_prom=PATH]\n"
+               "           reads DIR/bank.fbank (written by cluster "
+               "--model-dir); a missing\n"
+               "           or corrupt bank is an error\n"
                "  --prefilter=on skips clusters via admissible score bounds; "
                "outputs are\n"
                "  bit-for-bit identical to --prefilter=off (the exhaustive "
                "oracle), just faster\n"
-               "           (--strict: fail on any corrupt model file "
-               "instead of skipping it)\n"
                "  --input/--out ending in .sqdb selects the indexed binary "
                "store (mmap-backed)\n"
                "  --threads=0 auto-detects the hardware thread count\n");
