@@ -243,6 +243,8 @@ void CluseqClusterer::RebuildClusterPsts() {
   // insertion-order-dependent pruning kick in, so then we always rebuild.
   const bool can_skip = options_.pst.max_memory_bytes == 0;
   CLUSEQ_TRACE_SPAN("cluseq.rebuild_psts");
+  Stopwatch rebuild_timer;
+  const double freeze_before = freeze_seconds_this_iter_;
   // Freeze every stale summary up front (independent per-cluster tasks);
   // the segment recomputation below reads only compiled snapshots, which
   // also spares the workers from contending on live-tree pointer chasing.
@@ -298,9 +300,12 @@ void CluseqClusterer::RebuildClusterPsts() {
                                 segments[ci][i].begin, segments[ci][i].end);
         }
       });
+  rebuild_seconds_this_iter_ += rebuild_timer.ElapsedSeconds() -
+                                (freeze_seconds_this_iter_ - freeze_before);
 }
 
 size_t CluseqClusterer::RefreshFrozen() {
+  Stopwatch freeze_timer;
   std::vector<size_t> stale;
   for (size_t ci = 0; ci < clusters_.size(); ++ci) {
     if (!clusters_[ci].frozen_fresh()) stale.push_back(ci);
@@ -316,6 +321,7 @@ size_t CluseqClusterer::RefreshFrozen() {
             std::make_shared<const FrozenPst>(cluster.pst(), background_));
       });
   refrozen_this_iter_ += stale.size();
+  freeze_seconds_this_iter_ += freeze_timer.ElapsedSeconds();
   return stale.size();
 }
 
@@ -367,7 +373,9 @@ void CluseqClusterer::Recluster() {
         // Pack every snapshot into the scoring arena (untouched models keep
         // their rows byte-identical) and run one interleaved scan per
         // sequence instead of kc serial automaton scans.
+        Stopwatch assemble_timer;
         bank_.Assemble(snapshots);
+        assemble_seconds_this_iter_ += assemble_timer.ElapsedSeconds();
         if (prefilter_active_) {
           // Multi-level pruned scan against scan_target_ — log t while the
           // §4.6 adjuster is frozen or off, the censored floor
@@ -890,6 +898,9 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     refrozen_this_iter_ = 0;
     scan_seconds_this_iter_ = 0.0;
     join_seconds_this_iter_ = 0.0;
+    freeze_seconds_this_iter_ = 0.0;
+    assemble_seconds_this_iter_ = 0.0;
+    rebuild_seconds_this_iter_ = 0.0;
     prefilter_pairs_this_iter_ = 0;
     prefilter_skipped_this_iter_ = 0;
     prefilter_l15_this_iter_ = 0;
@@ -980,6 +991,9 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     stats.refrozen_clusters = refrozen_this_iter_;
     stats.scan_seconds = scan_seconds_this_iter_;
     stats.seed_seconds = seed_seconds;
+    stats.rebuild_seconds = rebuild_seconds_this_iter_;
+    stats.freeze_seconds = freeze_seconds_this_iter_;
+    stats.assemble_seconds = assemble_seconds_this_iter_;
     stats.join_seconds = join_seconds_this_iter_;
     stats.consolidate_seconds = consolidate_seconds;
     stats.prefilter_l15_pruned = prefilter_l15_this_iter_;
@@ -995,6 +1009,9 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     size_t pst_bytes_total = 0;
     for (const Cluster& c : clusters_) {
       stats.pst_nodes_total += c.pst().NumNodes();
+      if (c.frozen() != nullptr) {
+        stats.frozen_states_total += c.frozen()->num_states();
+      }
       pst_bytes_total += c.pst().ApproxMemoryBytes();
     }
     stats.pst_pruned_total =
@@ -1026,8 +1043,13 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
                         << "s, refroze " << stats.refrozen_clusters
                         << " clusters, " << stats.pst_nodes_total
                         << " pst nodes (" << stats.pst_pruned_total
-                        << " pruned), phases seed " << stats.seed_seconds
-                        << "s / join " << stats.join_seconds
+                        << " pruned), " << stats.frozen_states_total
+                        << " frozen states, phases seed "
+                        << stats.seed_seconds << "s (rebuild "
+                        << stats.rebuild_seconds << "s) / freeze "
+                        << stats.freeze_seconds << "s / assemble "
+                        << stats.assemble_seconds << "s / join "
+                        << stats.join_seconds
                         << "s / consolidate " << stats.consolidate_seconds
                         << "s, prefilter skip "
                         << 100.0 * stats.prefilter_skip_ratio << "% ("

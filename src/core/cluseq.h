@@ -227,11 +227,22 @@ struct IterationStats {
   double scan_seconds = 0.0;
   /// Live PST nodes across all clusters at the end of the iteration.
   size_t pst_nodes_total = 0;
+  /// Automaton states across the clusters' latest compiled snapshots at the
+  /// end of the iteration (significant contexts plus closure states).
+  size_t frozen_states_total = 0;
   /// Nodes pruned from cluster PSTs during this iteration (all §5.1
   /// strategies combined; rebuilt trees count their own pruning).
   size_t pst_pruned_total = 0;
   /// Wall time of cluster seeding (PST rebuild + new-cluster generation).
   double seed_seconds = 0.0;
+  /// Nested leaves of the phases above. rebuild_seconds: the per-iteration
+  /// PST rebuild (RebuildClusterPsts, inside seed_seconds) without its
+  /// re-freeze; freeze_seconds: every PST → FrozenPst compile of the
+  /// iteration (inside seed_seconds and scan_seconds); assemble_seconds:
+  /// packing the snapshots into the scoring bank (inside scan_seconds).
+  double rebuild_seconds = 0.0;
+  double freeze_seconds = 0.0;
+  double assemble_seconds = 0.0;
   /// Wall time of the join/absorb apply phase (0 in §4.2 within-scan mode,
   /// where joins are applied inside the scan itself).
   double join_seconds = 0.0;
@@ -364,6 +375,9 @@ class CluseqClusterer {
   size_t refrozen_this_iter_ = 0;
   double scan_seconds_this_iter_ = 0.0;
   double join_seconds_this_iter_ = 0.0;
+  double freeze_seconds_this_iter_ = 0.0;
+  double assemble_seconds_this_iter_ = 0.0;
+  double rebuild_seconds_this_iter_ = 0.0;
   // Whether the prefilter may prune scans (fixed per run: prefilter ∧
   // batched_scan ∧ ¬within_scan_updates).
   bool prefilter_active_ = false;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -14,10 +13,10 @@ namespace {
 
 constexpr uint32_t kUnset = std::numeric_limits<uint32_t>::max();
 
-// Transient trie mirrored from the live Pst (plus closure states), indexed
-// densely. Children extend the context one symbol further into the past,
-// exactly like the live trie, so a node's parent is the one-symbol-shorter
-// suffix of its label.
+// Transient trie mirrored from the live Pst's significant nodes (plus
+// closure states), indexed densely. Children extend the context one symbol
+// further into the past, exactly like the live trie, so a node's parent is
+// the one-symbol-shorter suffix of its label.
 struct ScratchNode {
   PstNodeId live = kNoPstNode;  // Backing live node; kNoPstNode for closure.
   uint32_t parent = 0;          // Drop the oldest symbol of the label.
@@ -98,7 +97,10 @@ FrozenPst::FrozenPst(const Pst& pst, const BackgroundModel& background) {
   max_depth_ = pst.options().max_depth;
   const uint64_t sig = pst.options().significance_threshold;
 
-  // Phase 1: mirror every live node, breadth-first so depths are grouped.
+  // Phase 1: mirror the live nodes whose whole suffix chain is significant,
+  // breadth-first so depths are grouped. These are exactly the nodes the
+  // live PredictionNode() walk can land on; an insignificant node and its
+  // whole subtree only ever defer to their deepest significant ancestor.
   std::vector<ScratchNode> nodes;
   nodes.emplace_back();  // Root.
   nodes[0].live = kPstRoot;
@@ -108,6 +110,7 @@ FrozenPst::FrozenPst(const Pst& pst, const BackgroundModel& background) {
     for (size_t head = 0; head < queue.size(); ++head) {
       auto [live_id, scratch_id] = queue[head];
       for (const auto& [symbol, live_child] : pst.Children(live_id)) {
+        if (pst.NodeCount(live_child) < sig) continue;
         uint32_t child = AddChild(&nodes, scratch_id, symbol, live_child);
         queue.emplace_back(live_child, child);
       }
@@ -117,7 +120,9 @@ FrozenPst::FrozenPst(const Pst& pst, const BackgroundModel& background) {
   // Phase 2: close the label set under dropping the newest symbol. The loop
   // bound re-reads nodes.size() because closure nodes append, and those
   // need their own closure too (each created node is strictly shallower
-  // than its creator, so this terminates).
+  // than its creator, so this terminates). An unpruned tree is already
+  // closed (a context's count is at most its drop-last prefix's); budget
+  // pruning and merging can leave holes.
   {
     std::vector<uint32_t> drop_last(nodes.size(), kUnset);
     for (uint32_t u = 0; u < nodes.size(); ++u) {
@@ -156,14 +161,9 @@ FrozenPst::FrozenPst(const Pst& pst, const BackgroundModel& background) {
   // recurrence, with the parent playing the suffix-link role (in a
   // reversed-context trie the one-shorter suffix IS the parent).
   //
-  // in_r marks nodes whose entire suffix chain exists and is significant —
-  // precisely the nodes the live PredictionNode() walk can reach; pred is
-  // the live node a walk with this state's context would land on.
-  std::vector<char> in_r(n, 0);
-  std::vector<PstNodeId> pred(n, kPstRoot);
-  // States sharing a prediction node share a log-ratio row; copy instead of
-  // recomputing (misses only on distinct prediction nodes).
-  std::unordered_map<PstNodeId, State> row_cache;
+  // A state backed by a live node is its own prediction node. A closure
+  // state is not a context the live walk can reach, so it predicts from its
+  // parent's prediction node and copies the parent's (already filled) row.
   const double neg_inf = -std::numeric_limits<double>::infinity();
 
   for (uint32_t pos = 0; pos < n; ++pos) {
@@ -172,17 +172,12 @@ FrozenPst::FrozenPst(const Pst& pst, const BackgroundModel& background) {
     const size_t row = static_cast<size_t>(pos) * alphabet_size_;
 
     if (u == 0) {
-      in_r[u] = 1;
-      pred[u] = kPstRoot;
       for (SymbolId a = 0; a < alphabet_size_; ++a) {
         uint32_t child = FindChild(nodes, 0, a);
         next_[row + a] = child == kUnset ? kRootState : state_of[child];
       }
     } else {
       const uint32_t p = node.parent;
-      in_r[u] = in_r[p] && node.live != kNoPstNode &&
-                pst.NodeCount(node.live) >= sig;
-      pred[u] = in_r[u] ? node.live : pred[p];
       const size_t parent_row =
           static_cast<size_t>(state_of[p]) * alphabet_size_;
       for (SymbolId a = 0; a < alphabet_size_; ++a) {
@@ -195,22 +190,20 @@ FrozenPst::FrozenPst(const Pst& pst, const BackgroundModel& background) {
         }
         next_[row + a] = target;
       }
+      if (node.live == kNoPstNode) {
+        std::copy_n(log_ratio_.begin() + static_cast<ptrdiff_t>(parent_row),
+                    alphabet_size_,
+                    log_ratio_.begin() + static_cast<ptrdiff_t>(row));
+        continue;
+      }
     }
 
-    auto [it, inserted] = row_cache.try_emplace(pred[u], pos);
-    if (!inserted) {
-      const size_t src = static_cast<size_t>(it->second) * alphabet_size_;
-      std::copy_n(log_ratio_.begin() + static_cast<ptrdiff_t>(src),
-                  alphabet_size_,
-                  log_ratio_.begin() + static_cast<ptrdiff_t>(row));
-    } else {
-      for (SymbolId a = 0; a < alphabet_size_; ++a) {
-        // Same operations as the live path (NodeProbability → log → minus
-        // background) so frozen scoring is bit-for-bit identical.
-        const double p = pst.NodeProbability(pred[u], a);
-        const double log_p = p > 0.0 ? std::log(p) : neg_inf;
-        log_ratio_[row + a] = log_p - background.LogProbability(a);
-      }
+    for (SymbolId a = 0; a < alphabet_size_; ++a) {
+      // Same operations as the live path (NodeProbability → log → minus
+      // background) so frozen scoring is bit-for-bit identical.
+      const double p = pst.NodeProbability(node.live, a);
+      const double log_p = p > 0.0 ? std::log(p) : neg_inf;
+      log_ratio_[row + a] = log_p - background.LogProbability(a);
     }
   }
 

@@ -10,15 +10,22 @@
 //
 // FrozenPst compiles exactly that automaton:
 //
-//   * States are the live trie's nodes plus, when leaf pruning has removed
-//     intermediate history, a small set of *closure* states. The trie's
-//     node labels are suffix-closed by construction (every trie ancestor of
-//     a node is a suffix of its label), but pruning can break closure under
-//     dropping the *most recent* symbol — e.g. the tree may know context
-//     "ba" while "b" was pruned away. The automaton needs the label set
-//     closed under both operations for its transition function to be
-//     well-defined, so freezing completes the set (closure states carry no
-//     counts of their own; they only route transitions).
+//   * States are the live trie's nodes whose whole suffix chain is
+//     significant (count >= c) — the only nodes a prediction walk can land
+//     on (paper §3) — plus, when pruning or merging has removed
+//     intermediate history, a small set of *closure* states. An
+//     insignificant node and its subtree would only repeat the row of
+//     their deepest significant ancestor, so they get no state: the
+//     automaton grows with the significant contexts, not with the trie.
+//     The tracked labels are suffix-closed by construction (every trie
+//     ancestor of a node is a suffix of its label), and in an unpruned tree
+//     also closed under dropping the *most recent* symbol (a context's
+//     count is at most its prefix's). Budget pruning can break the latter —
+//     e.g. the tree may know context "ba" while "b" was pruned away. The
+//     automaton needs the label set closed under both operations for its
+//     transition function to be well-defined, so freezing completes the set
+//     (closure states carry no counts of their own; they route transitions
+//     and copy their parent's prediction row).
 //   * Layout is a flat structure of arrays: states are numbered in
 //     depth-major (BFS) order, and each state owns one contiguous row of
 //     the transition table and one of the log-ratio table, so a scoring
@@ -29,9 +36,10 @@
 //     link of a node is simply its parent.
 //   * Each state's log-ratio row is precomputed from its *prediction node*
 //     (the longest suffix whose whole chain is significant — the node the
-//     live walk would land on): LogRatio(u, s) = log P̂(s | ctx(u)) − log
-//     p(s), with smoothing applied exactly as in Pst::NodeProbability. The
-//     similarity DP's X_i becomes a single table load.
+//     live walk would land on; for a live-backed state, its own node):
+//     LogRatio(u, s) = log P̂(s | ctx(u)) − log p(s), with smoothing
+//     applied exactly as in Pst::NodeProbability. The similarity DP's X_i
+//     becomes a single table load.
 //
 // Scoring a sequence is then a linear automaton scan:
 //

@@ -13,9 +13,15 @@ Alphabet Alphabet::FromChars(std::string_view chars) {
 }
 
 Alphabet Alphabet::Synthetic(size_t n) {
+  static constexpr std::string_view kChars =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
   Alphabet a;
   for (size_t i = 0; i < n; ++i) {
-    a.Intern("s" + std::to_string(i));
+    if (n <= kChars.size()) {
+      a.Intern(kChars.substr(i, 1));
+    } else {
+      a.Intern("s" + std::to_string(i));
+    }
   }
   return a;
 }

@@ -33,7 +33,10 @@ class Alphabet {
   /// 20-letter amino-acid code.
   static Alphabet FromChars(std::string_view chars);
 
-  /// Builds an alphabet of `n` synthetic symbols named "s0".."s{n-1}".
+  /// Builds an alphabet of `n` synthetic symbols. Up to 62 symbols get
+  /// single-character names ("a".."z", "A".."Z", "0".."9", in that order),
+  /// so a synthetic corpus round-trips through the text formats; larger
+  /// alphabets are named "s0".."s{n-1}" and can only be stored as .sqdb.
   static Alphabet Synthetic(size_t n);
 
   /// Interns `name`, returning its id (existing or freshly assigned).

@@ -11,6 +11,23 @@ namespace cluseq {
 
 namespace {
 
+// The text formats store one character per symbol, and the readers split
+// text back into single characters, so only single-character names survive
+// a round trip.
+Status CheckTextAlphabet(const SequenceStore& db) {
+  const Alphabet& alphabet = db.alphabet();
+  for (size_t s = 0; s < alphabet.size(); ++s) {
+    const std::string& name = alphabet.Name(static_cast<SymbolId>(s));
+    if (name.size() != 1) {
+      return Status::InvalidArgument(StringPrintf(
+          "symbol '%s' is not a single character; text formats cannot "
+          "store it (use .sqdb)",
+          name.c_str()));
+    }
+  }
+  return Status::OK();
+}
+
 // Parses ">id label=3" header lines. The label annotation is optional.
 void ParseFastaHeader(std::string_view header, std::string* id,
                       Label* label) {
@@ -94,6 +111,7 @@ Status ReadFastaFile(const std::string& path, SequenceDatabase* db,
 }
 
 Status WriteFasta(const SequenceStore& db, std::ostream& out) {
+  CLUSEQ_RETURN_NOT_OK(CheckTextAlphabet(db));
   for (size_t i = 0; i < db.size(); ++i) {
     const std::string_view id = db.Id(i);
     out << '>';
@@ -116,6 +134,7 @@ Status WriteFasta(const SequenceStore& db, std::ostream& out) {
 }
 
 Status WriteFastaFile(const SequenceStore& db, const std::string& path) {
+  CLUSEQ_RETURN_NOT_OK(CheckTextAlphabet(db));  // Before creating the file.
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open " + path);
   return WriteFasta(db, out);
@@ -156,6 +175,7 @@ Status ReadTsvFile(const std::string& path, SequenceDatabase* db,
 }
 
 Status WriteTsv(const SequenceStore& db, std::ostream& out) {
+  CLUSEQ_RETURN_NOT_OK(CheckTextAlphabet(db));
   for (size_t i = 0; i < db.size(); ++i) {
     const std::string_view id = db.Id(i);
     if (id.empty()) {
@@ -171,6 +191,7 @@ Status WriteTsv(const SequenceStore& db, std::ostream& out) {
 }
 
 Status WriteTsvFile(const SequenceStore& db, const std::string& path) {
+  CLUSEQ_RETURN_NOT_OK(CheckTextAlphabet(db));  // Before creating the file.
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open " + path);
   return WriteTsv(db, out);

@@ -50,8 +50,9 @@ Status ReadFasta(std::istream& in, SequenceDatabase* db,
 Status ReadFastaFile(const std::string& path, SequenceDatabase* db,
                      const IoOptions& options = {});
 
-/// Writes any sequence store in FASTA-like format (single-character symbol
-/// alphabets round-trip exactly; multi-character names are concatenated).
+/// Writes a sequence store in FASTA-like format. Fails with InvalidArgument
+/// when any alphabet symbol has a multi-character name, since the readers
+/// would split it into characters; such corpora belong in .sqdb.
 Status WriteFasta(const SequenceStore& db, std::ostream& out);
 Status WriteFastaFile(const SequenceStore& db, const std::string& path);
 
@@ -61,7 +62,7 @@ Status ReadTsv(std::istream& in, SequenceDatabase* db,
 Status ReadTsvFile(const std::string& path, SequenceDatabase* db,
                    const IoOptions& options = {});
 
-/// Writes TSV lines.
+/// Writes TSV lines; same single-character alphabet rule as WriteFasta.
 Status WriteTsv(const SequenceStore& db, std::ostream& out);
 Status WriteTsvFile(const SequenceStore& db, const std::string& path);
 

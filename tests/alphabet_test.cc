@@ -22,9 +22,20 @@ TEST(AlphabetTest, FromCharsDeduplicates) {
 TEST(AlphabetTest, SyntheticNames) {
   Alphabet a = Alphabet::Synthetic(4);
   EXPECT_EQ(a.size(), 4u);
-  EXPECT_EQ(a.Name(0), "s0");
-  EXPECT_EQ(a.Name(3), "s3");
-  EXPECT_EQ(a.Find("s2"), 2u);
+  EXPECT_EQ(a.Name(0), "a");
+  EXPECT_EQ(a.Name(3), "d");
+  EXPECT_EQ(a.Find("c"), 2u);
+}
+
+TEST(AlphabetTest, SyntheticNamesStaySingleCharacterUpTo62) {
+  Alphabet a = Alphabet::Synthetic(62);
+  EXPECT_EQ(a.Name(26), "A");
+  EXPECT_EQ(a.Name(52), "0");
+  EXPECT_EQ(a.Name(61), "9");
+  Alphabet big = Alphabet::Synthetic(63);
+  EXPECT_EQ(big.size(), 63u);
+  EXPECT_EQ(big.Name(0), "s0");
+  EXPECT_EQ(big.Name(62), "s62");
 }
 
 TEST(AlphabetTest, InternIsIdempotent) {

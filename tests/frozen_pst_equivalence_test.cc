@@ -3,12 +3,14 @@
 // per-position conditional log ratios for *every* alphabet symbol at every
 // prefix — across randomized alphabets, depths, significance thresholds,
 // smoothing on/off (including the -inf paths), post-PruneToBudget trees
-// (which exercise the closure states), and merged trees.
+// (which exercise the closure states), and merged trees. Also pins the
+// compiled state set: one state per significant context plus the closure.
 
 #include "pst/frozen_pst.h"
 
 #include <cmath>
 #include <limits>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +34,38 @@ BackgroundModel SkewedBackground(size_t alphabet, Rng* rng) {
   std::vector<uint64_t> counts(alphabet);
   for (auto& c : counts) c = 1 + rng->Uniform(500);
   return BackgroundModel::FromCounts(counts);
+}
+
+// Every live node, root first, breadth-first. With `significant_only`, the
+// walk stops at insignificant nodes: what remains is the root plus the
+// nodes whose whole suffix chain is significant.
+std::vector<PstNodeId> LiveNodes(const Pst& pst, bool significant_only) {
+  std::vector<PstNodeId> nodes = {kPstRoot};
+  for (size_t head = 0; head < nodes.size(); ++head) {
+    for (const auto& [symbol, child] : pst.Children(nodes[head])) {
+      if (!significant_only || pst.IsSignificant(child)) {
+        nodes.push_back(child);
+      }
+    }
+  }
+  return nodes;
+}
+
+// Size of the smallest label set that contains the significant contexts
+// and is closed under dropping the oldest and the newest symbol: every
+// contiguous substring of a significant context (the empty one included).
+size_t ClosedLabelCount(const Pst& pst) {
+  std::set<Symbols> labels;
+  for (PstNodeId id : LiveNodes(pst, /*significant_only=*/true)) {
+    const Symbols label = pst.NodeLabel(id);
+    for (size_t b = 0; b <= label.size(); ++b) {
+      for (size_t e = b; e <= label.size(); ++e) {
+        labels.emplace(label.begin() + static_cast<ptrdiff_t>(b),
+                       label.begin() + static_cast<ptrdiff_t>(e));
+      }
+    }
+  }
+  return labels.size();
 }
 
 // Exhaustive check: walking the automaton over `query` must reproduce the
@@ -172,6 +206,76 @@ TEST(FrozenPstEquivalenceTest, StatesAreDepthMajorAndBounded) {
     }
   }
   EXPECT_GT(frozen.ApproxMemoryBytes(), 0u);
+}
+
+TEST(FrozenPstStateSetTest, OneStatePerSignificantNodeInUnprunedTrees) {
+  // A context's count is at most its parent's and its drop-last prefix's,
+  // so in an unpruned tree the significant nodes are already closed and
+  // need no closure states.
+  Rng rng(808);
+  const size_t alphabets[] = {2, 5, 20};
+  const size_t depths[] = {2, 5, 10};
+  const uint64_t thresholds[] = {1, 2, 5, 30};
+  for (size_t alphabet : alphabets) {
+    for (size_t depth : depths) {
+      for (uint64_t c : thresholds) {
+        PstOptions options;
+        options.max_depth = depth;
+        options.significance_threshold = c;
+        Pst pst(alphabet, options);
+        pst.InsertSequence(RandomText(500, alphabet, &rng));
+        pst.InsertSequence(RandomText(300, alphabet, &rng));
+        size_t significant = 0;
+        for (PstNodeId id : LiveNodes(pst, /*significant_only=*/false)) {
+          if (id != kPstRoot && pst.NodeCount(id) >= c) ++significant;
+        }
+        FrozenPst frozen(pst, SkewedBackground(alphabet, &rng));
+        EXPECT_EQ(frozen.num_states(), 1 + significant)
+            << "alphabet " << alphabet << " depth " << depth << " c " << c;
+        if (c == 1) {
+          // Every node is significant: one state per live node.
+          EXPECT_EQ(frozen.num_states(), pst.NumNodes());
+        }
+      }
+    }
+  }
+}
+
+TEST(FrozenPstStateSetTest, PrunedAndMergedTreesAddOnlyTheClosure) {
+  Rng rng(909);
+  bool saw_closure = false;
+  const auto check = [&](const Pst& pst, size_t alphabet) {
+    const size_t tracked = LiveNodes(pst, /*significant_only=*/true).size();
+    const size_t closed = ClosedLabelCount(pst);
+    const BackgroundModel background = SkewedBackground(alphabet, &rng);
+    FrozenPst frozen(pst, background);
+    EXPECT_EQ(frozen.num_states(), closed);
+    EXPECT_LE(frozen.num_states(), pst.NumNodes() + (closed - tracked));
+    saw_closure = saw_closure || closed > tracked;
+    ExpectEquivalent(pst, background, RandomText(200, alphabet, &rng));
+  };
+  for (uint64_t trial = 0; trial < 9; ++trial) {
+    PstOptions options;
+    options.max_depth = 4 + trial % 4;
+    options.significance_threshold = 1 + trial % 4;
+    options.prune_strategy = static_cast<PruneStrategy>(trial % 3);
+    Pst pst(6, options);
+    pst.InsertSequence(RandomText(800, 6, &rng));
+    pst.PruneToBudget(pst.ApproxMemoryBytes() / 4);
+    check(pst, 6);
+  }
+  for (uint64_t c : {uint64_t{1}, uint64_t{3}, uint64_t{8}}) {
+    PstOptions options;
+    options.max_depth = 6;
+    options.significance_threshold = c;
+    Pst a(7, options), b(7, options);
+    a.InsertSequence(RandomText(400, 7, &rng));
+    b.InsertSequence(RandomText(400, 7, &rng));
+    b.PruneToBudget(b.ApproxMemoryBytes() / 2);
+    ASSERT_TRUE(a.MergeFrom(b).ok());
+    check(a, 7);
+  }
+  EXPECT_TRUE(saw_closure);  // Some tree above needed closure states.
 }
 
 }  // namespace

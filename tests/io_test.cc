@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "synth/dataset.h"
+
 namespace cluseq {
 namespace {
 
@@ -105,6 +107,46 @@ TEST(TsvTest, RoundTrip) {
   ASSERT_EQ(db2.size(), 1u);
   EXPECT_EQ(db2[0].label(), 5);
   EXPECT_EQ(db2.alphabet().Decode(db2[0].symbols()), "hello");
+}
+
+TEST(TextWriterTest, SyntheticCorpusRoundTripsLosslessly) {
+  SyntheticDatasetOptions opts;
+  opts.num_clusters = 3;
+  opts.sequences_per_cluster = 4;
+  opts.alphabet_size = 20;
+  opts.avg_length = 40;
+  opts.seed = 5;
+  SequenceDatabase db = MakeSyntheticDataset(opts);
+  std::ostringstream tsv;
+  ASSERT_TRUE(WriteTsv(db, tsv).ok());
+  std::istringstream in(tsv.str());
+  SequenceDatabase db2;
+  ASSERT_TRUE(ReadTsv(in, &db2).ok());
+  ASSERT_EQ(db2.size(), db.size());
+  EXPECT_EQ(db2.alphabet().size(), 20u);
+  for (size_t i = 0; i < db.size(); ++i) {
+    EXPECT_EQ(db2.alphabet().Decode(db2[i].symbols()),
+              db.alphabet().Decode(db[i].symbols()));
+  }
+}
+
+TEST(TextWriterTest, MultiCharacterSymbolIsInvalidArgument) {
+  Alphabet alphabet;
+  alphabet.Intern("a");
+  alphabet.Intern("s1");
+  SequenceDatabase db(alphabet);
+  ASSERT_TRUE(db.AddText("a", "x").ok());
+  std::ostringstream fasta;
+  EXPECT_TRUE(WriteFasta(db, fasta).IsInvalidArgument());
+  EXPECT_TRUE(fasta.str().empty());
+  std::ostringstream tsv;
+  EXPECT_TRUE(WriteTsv(db, tsv).IsInvalidArgument());
+  EXPECT_TRUE(tsv.str().empty());
+
+  // Alphabets past 62 symbols keep "s<i>" names and are refused too.
+  SequenceDatabase big(Alphabet::Synthetic(63));
+  std::ostringstream out;
+  EXPECT_TRUE(WriteTsv(big, out).IsInvalidArgument());
 }
 
 TEST(FastaTest, HandlesCrlfLineEndings) {

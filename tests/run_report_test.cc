@@ -109,10 +109,24 @@ TEST(RunReportTest, RoundTripMatchesIterationStats) {
                      expect.scan_seconds);
     EXPECT_EQ(stats->Find("pst_nodes_total")->number,
               static_cast<double>(expect.pst_nodes_total));
+    EXPECT_EQ(stats->Find("frozen_states_total")->number,
+              static_cast<double>(expect.frozen_states_total));
     EXPECT_EQ(stats->Find("pst_pruned_total")->number,
               static_cast<double>(expect.pst_pruned_total));
     EXPECT_DOUBLE_EQ(stats->Find("seed_seconds")->number,
                      expect.seed_seconds);
+    EXPECT_DOUBLE_EQ(stats->Find("rebuild_seconds")->number,
+                     expect.rebuild_seconds);
+    EXPECT_DOUBLE_EQ(stats->Find("freeze_seconds")->number,
+                     expect.freeze_seconds);
+    EXPECT_DOUBLE_EQ(stats->Find("assemble_seconds")->number,
+                     expect.assemble_seconds);
+    // The per-layer timers are nested leaves of the phase timers.
+    EXPECT_GE(expect.frozen_states_total, expect.clusters_after);
+    EXPECT_LE(expect.rebuild_seconds, expect.seed_seconds);
+    EXPECT_LE(expect.assemble_seconds, expect.scan_seconds);
+    EXPECT_LE(expect.freeze_seconds,
+              expect.seed_seconds + expect.scan_seconds);
     EXPECT_DOUBLE_EQ(stats->Find("join_seconds")->number,
                      expect.join_seconds);
     EXPECT_DOUBLE_EQ(stats->Find("consolidate_seconds")->number,
