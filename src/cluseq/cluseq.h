@@ -44,7 +44,6 @@
 #include "pst/frozen_pst.h"
 #include "pst/pst.h"
 #include "pst/pst_dot.h"
-#include "pst/pst_serialization.h"
 #include "seq/alphabet.h"
 #include "seq/background_model.h"
 #include "seq/io.h"

@@ -20,13 +20,13 @@ namespace cluseq {
 namespace {
 
 constexpr char kMagic[4] = {'C', 'K', 'P', 'T'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 constexpr uint32_t kSectionCount = 2;  // meta, state.
 /// magic + version + file_bytes + section_count + flags
 /// + 2 × (offset, size, crc, pad) + header_crc.
 constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4 + 4 + 2 * 24 + 4;
 /// Sanity cap before any allocation: no real checkpoint approaches this
-/// (the state is O(corpus indices + PST nodes)), and a hostile size field
+/// (the state is O(corpus indices)), and a hostile size field
 /// must not drive a huge resize.
 constexpr uint64_t kMaxFileBytes = 1ULL << 32;
 constexpr size_t kMaxBuildBytes = 256;
@@ -169,8 +169,6 @@ std::string EncodeState(const ClustererCheckpoint& ckpt) {
       AppendPod(&out, contrib.begin);
       AppendPod(&out, contrib.end);
     }
-    AppendPod(&out, static_cast<uint64_t>(c.pst_blob.size()));
-    out.append(c.pst_blob);
   }
   return out;
 }
@@ -259,8 +257,8 @@ Status DecodeState(std::string_view bytes, ClustererCheckpoint* out) {
   }
 
   uint64_t num_clusters = 0;
-  // Each cluster occupies at least id + seed + three counts.
-  if (!r.ReadCount(4 + 8 + 3 * 8, &num_clusters)) {
+  // Each cluster occupies at least id + seed + two counts.
+  if (!r.ReadCount(4 + 8 + 2 * 8, &num_clusters)) {
     return Corrupt("truncated cluster count");
   }
   for (int32_t v : out->prev_best_cluster) {
@@ -291,8 +289,8 @@ Status DecodeState(std::string_view bytes, ClustererCheckpoint* out) {
       return Corrupt("truncated contribution count");
     }
     c.contributions.resize(static_cast<size_t>(count));
-    uint64_t prev_seq = 0;
-    bool first = true;
+    std::vector<uint64_t> seqs;
+    seqs.reserve(c.contributions.size());
     for (auto& contrib : c.contributions) {
       if (!r.ReadPod(&contrib.seq_index) || !r.ReadPod(&contrib.begin) ||
           !r.ReadPod(&contrib.end)) {
@@ -301,18 +299,13 @@ Status DecodeState(std::string_view bytes, ClustererCheckpoint* out) {
       if (contrib.seq_index >= n || contrib.begin > contrib.end) {
         return Corrupt("contribution out of range");
       }
-      // Strictly increasing: the canonical order the encoder emits, and
-      // the uniqueness the contributions map guarantees.
-      if (!first && contrib.seq_index <= prev_seq) {
-        return Corrupt("contributions out of order");
-      }
-      prev_seq = contrib.seq_index;
-      first = false;
+      seqs.push_back(contrib.seq_index);
     }
-    uint64_t blob_len = 0;
-    if (!r.ReadCount(1, &blob_len) ||
-        !r.ReadBytes(static_cast<size_t>(blob_len), &c.pst_blob)) {
-      return Corrupt("truncated cluster PST blob");
+    // Stored in insertion order, but a sequence contributes at most once
+    // per cluster.
+    std::sort(seqs.begin(), seqs.end());
+    if (std::adjacent_find(seqs.begin(), seqs.end()) != seqs.end()) {
+      return Corrupt("sequence contributes twice to one cluster");
     }
   }
   if (!r.done()) return Corrupt("trailing bytes after state section");
@@ -414,7 +407,12 @@ Status DecodeCheckpoint(std::string_view bytes, ClustererCheckpoint* out) {
     return Corrupt("header checksum mismatch");
   }
   if (version != kVersion) {
-    return Corrupt(StringPrintf("unsupported version %u", version));
+    // An intact file of another format version is not damage: report it
+    // plainly instead of counting it as corruption.
+    return Status::FailedPrecondition(StringPrintf(
+        "checkpoint format version %u is not supported (this build reads "
+        "version %u); start fresh without --resume",
+        version, kVersion));
   }
   if (file_bytes != bytes.size()) {
     return Corrupt("declared size does not match the file");
@@ -454,6 +452,9 @@ Status LoadCheckpointFile(const std::string& path, ClustererCheckpoint* out) {
   Status st = DecodeCheckpoint(bytes, out);
   if (st.IsCorruption()) {
     return Status::Corruption(path + ": " + st.message());
+  }
+  if (st.IsFailedPrecondition()) {
+    return Status::FailedPrecondition(path + ": " + st.message());
   }
   return st;
 }
@@ -529,7 +530,10 @@ Status LoadLatestCheckpoint(const std::string& dir, bool strict,
     if (loaded_path != nullptr) *loaded_path = files[0];
     return Status::OK();
   }
-  if (strict || files.size() < 2) return newest_status;
+  // Another format version is intact, not damaged: no fallback, no unlink.
+  if (strict || files.size() < 2 || newest_status.IsFailedPrecondition()) {
+    return newest_status;
+  }
   CLUSEQ_LOG(kWarning) << "checkpoint " << files[0]
                        << " is unreadable (" << newest_status.ToString()
                        << "); falling back to " << files[1];

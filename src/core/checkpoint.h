@@ -2,14 +2,18 @@
 //
 // A checkpoint captures the complete cross-iteration state of
 // CluseqClusterer at an iteration boundary — threshold, RNG, cluster
-// trees/members/contributions, the previous iteration's fingerprint — so a
+// members and contributions, the previous iteration's fingerprint — so a
 // run killed at ANY point (including mid-save) can resume and produce a
 // final clustering bit-for-bit identical to an uninterrupted run. Only
 // state that feeds the next iteration is stored; everything derivable
-// (background model, frozen snapshots, the scan bank) is recomputed on
-// resume, which keeps files small and makes snapshot/tree skew impossible.
+// (background model, live trees, frozen snapshots, the scan bank) is
+// recomputed on resume, which keeps files small and makes snapshot/tree
+// skew impossible. A cluster's tree counts nothing but the segments its
+// contributions table lists, so resume rebuilds it by inserting those
+// segments in their stored (insertion) order — the same operations in the
+// same order, hence the same tree, §5.1 pruning included.
 //
-// File format `cluseq.ckpt.v1` (little-endian, one file per boundary):
+// File format `cluseq.ckpt.v2` (little-endian, one file per boundary):
 //
 //   magic "CKPT" | u32 version | u64 file_bytes | u32 section_count |
 //   u32 flags | section table [2 × {u64 offset, u64 size, u32 crc32c,
@@ -17,14 +21,15 @@
 //   section 0: meta  — identity fingerprints + build string
 //   section 1: state — the iteration-boundary algorithm state
 //
-// Durability model (same bar as the .sqdb and PST formats, DESIGN.md §11):
+// Durability model (same bar as the .sqdb and .fbank formats, DESIGN.md §11):
 // files are written via WriteFileAtomic, so a torn save never becomes
 // visible at a final path; the header CRC is verified before any field is
 // parsed and each section CRC before that section is decoded; every count
 // is capped by the bytes that could plausibly back it before any
 // allocation; the exact size equation rejects truncation and trailing
 // junk. Any mismatch is Status::Corruption and bumps
-// persistence.corruption_detected. The directory keeps the newest TWO
+// persistence.corruption_detected; an intact file of another format
+// version is FailedPrecondition instead. The directory keeps the newest TWO
 // checkpoints (WriteCheckpointRetainTwo), so a crash mid-save — which can
 // at worst orphan a .tmp file — always leaves the previous complete
 // checkpoint loadable.
@@ -55,8 +60,7 @@ namespace cluseq {
 /// Serialized form of one cluster's cross-iteration state.
 struct CheckpointClusterState {
   /// One counted segment of a contributing sequence (Cluster::Segment plus
-  /// the sequence it belongs to). Stored sorted by seq_index so the encoded
-  /// bytes are a canonical function of the cluster state.
+  /// the sequence it belongs to).
   struct Contribution {
     uint64_t seq_index = 0;
     uint64_t begin = 0;
@@ -66,8 +70,9 @@ struct CheckpointClusterState {
   uint32_t id = 0;
   int64_t seed_index = -1;
   std::vector<uint64_t> members;  ///< In the cluster's stored order.
+  /// In insertion order (Cluster::contributions()); resume replays them
+  /// in this order. No seq_index repeats.
   std::vector<Contribution> contributions;
-  std::string pst_blob;  ///< SavePst stream (self-checksummed).
 };
 
 /// Complete iteration-boundary state of a clustering run.
@@ -100,11 +105,14 @@ struct ClustererCheckpoint {
 /// change the clustering; perf switches excluded — see the header comment).
 uint64_t FingerprintOptions(const CluseqOptions& options);
 
-/// Serializes `ckpt` into the cluseq.ckpt.v1 byte layout.
+/// Serializes `ckpt` into the cluseq.ckpt.v2 byte layout.
 Status EncodeCheckpoint(const ClustererCheckpoint& ckpt, std::string* out);
 
-/// Parses and fully validates a cluseq.ckpt.v1 byte string. Never partial:
-/// on any failure `*out` is untouched and the status is Corruption.
+/// Parses and fully validates a cluseq.ckpt.v2 byte string. Never partial:
+/// on any failure `*out` is untouched. The status is Corruption, or
+/// FailedPrecondition for an intact header (CRC valid) of another format
+/// version. Contribution bounds against the corpus are checked on resume
+/// (CluseqClusterer), since the decoder does not see the corpus.
 Status DecodeCheckpoint(std::string_view bytes, ClustererCheckpoint* out);
 
 /// Reads + decodes one checkpoint file.
@@ -127,7 +135,9 @@ Status WriteCheckpointRetainTwo(const std::string& dir, uint64_t iteration,
 
 /// Loads the newest loadable checkpoint from `dir`. A corrupt newest file
 /// falls back to the previous one with a kWarning log (strict=false) or
-/// fails with the corruption status (strict=true). NotFound when `dir` has
+/// fails with the corruption status (strict=true). A newest file of another
+/// format version fails with FailedPrecondition and is left in place — it
+/// is not damaged, so there is no fallback. NotFound when `dir` has
 /// no checkpoint files at all. `loaded_path` (optional) receives the file
 /// actually loaded.
 Status LoadLatestCheckpoint(const std::string& dir, bool strict,

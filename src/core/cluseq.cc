@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <unordered_map>
 
 #include "core/checkpoint.h"
@@ -16,10 +15,10 @@
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
-#include "pst/pst_serialization.h"
 #include "util/build_info.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace cluseq {
@@ -625,18 +624,6 @@ ClustererCheckpoint CluseqClusterer::BuildCheckpoint(
                                      static_cast<uint64_t>(segment.begin),
                                      static_cast<uint64_t>(segment.end)});
     }
-    // Canonical order: the map iterates nondeterministically, but the
-    // encoded bytes must be a pure function of the cluster state.
-    std::sort(state.contributions.begin(), state.contributions.end(),
-              [](const auto& a, const auto& b) {
-                return a.seq_index < b.seq_index;
-              });
-    std::ostringstream blob;
-    // SavePst only fails on stream write errors, which an ostringstream
-    // never produces.
-    Status st = SavePst(cluster.pst(), blob);
-    CLUSEQ_CHECK(st.ok(), "in-memory PST serialization cannot fail");
-    state.pst_blob = blob.str();
     ckpt.clusters.push_back(std::move(state));
   }
   return ckpt;
@@ -657,27 +644,40 @@ Status CluseqClusterer::RestoreFromCheckpoint(
         "checkpoint was written against a different corpus; resume with "
         "the original input or start fresh without --resume");
   }
+  // The decoder cannot see the corpus, so a checkpoint whose CRCs pass can
+  // still name a segment past the end of its sequence; reject it before
+  // replay reads a single symbol.
+  for (const CheckpointClusterState& state : ckpt.clusters) {
+    for (const auto& contrib : state.contributions) {
+      if (contrib.end > db_.Length(static_cast<size_t>(contrib.seq_index))) {
+        obs::MetricsRegistry::Get()
+            .GetCounter("persistence.corruption_detected")
+            .Increment();
+        return Status::Corruption(StringPrintf(
+            "checkpoint: cluster %u contribution of sequence %llu ends past "
+            "the sequence",
+            state.id, static_cast<unsigned long long>(contrib.seq_index)));
+      }
+    }
+  }
   background_ = BackgroundModel::FromDatabase(db_);
   rng_ = Rng(options_.rng_seed);
   rng_.RestoreState(ckpt.rng);
   clusters_.clear();
   clusters_.reserve(ckpt.clusters.size());
   for (const CheckpointClusterState& state : ckpt.clusters) {
-    Pst pst(db_.alphabet().size(), options_.pst);
-    std::istringstream blob(state.pst_blob);
-    CLUSEQ_RETURN_NOT_OK(LoadPst(blob, &pst));
-    std::vector<size_t> members(state.members.begin(), state.members.end());
-    std::vector<std::pair<size_t, Cluster::Segment>> contributions;
-    contributions.reserve(state.contributions.size());
-    for (const auto& contrib : state.contributions) {
-      contributions.emplace_back(
-          static_cast<size_t>(contrib.seq_index),
-          Cluster::Segment{static_cast<size_t>(contrib.begin),
-                           static_cast<size_t>(contrib.end)});
-    }
     Cluster cluster(state.id, db_.alphabet().size(), options_.pst);
-    cluster.RestoreForResume(std::move(pst), state.seed_index,
-                             std::move(members), std::move(contributions));
+    // Replaying the contributions in their recorded order repeats the
+    // original insertions (and any §5.1 pruning) exactly.
+    for (const auto& contrib : state.contributions) {
+      const size_t seq = static_cast<size_t>(contrib.seq_index);
+      cluster.AbsorbSegment(seq, db_.Symbols(seq),
+                            static_cast<size_t>(contrib.begin),
+                            static_cast<size_t>(contrib.end));
+    }
+    cluster.RestoreForResume(
+        state.seed_index,
+        std::vector<size_t>(state.members.begin(), state.members.end()));
     clusters_.push_back(std::move(cluster));
   }
   bank_ = FrozenBank();

@@ -1,4 +1,5 @@
-// Cluster: one CLUSEQ cluster — a PST summary plus its current members.
+// Cluster: one CLUSEQ cluster — a PST summary, the segments it counts, and
+// its current members.
 
 #ifndef CLUSEQ_CORE_CLUSTER_H_
 #define CLUSEQ_CORE_CLUSTER_H_
@@ -32,10 +33,8 @@ class Cluster {
   /// Initializes the cluster from a single seed sequence: the PST is built
   /// from the entire sequence (paper §4.4).
   void Seed(std::span<const SymbolId> symbols, size_t seq_index) {
-    pst_.InsertSequence(symbols);
     seed_index_ = static_cast<int64_t>(seq_index);
-    contributions_.emplace(seq_index, Segment{0, symbols.size()});
-    pst_dirty_ = true;
+    Count(seq_index, symbols, Segment{0, symbols.size()});
   }
   void Seed(const Sequence& seq, size_t seq_index) {
     Seed(std::span<const SymbolId>(seq.symbols()), seq_index);
@@ -51,10 +50,7 @@ class Cluster {
   /// freezing early (possibly wrong) memberships in place.
   void AbsorbSegment(size_t seq_index, std::span<const SymbolId> full,
                      size_t begin, size_t end) {
-    if (contributions_.emplace(seq_index, Segment{begin, end}).second) {
-      pst_.InsertSequence(full.subspan(begin, end - begin));
-      pst_dirty_ = true;
-    }
+    if (!HasAbsorbed(seq_index)) Count(seq_index, full, Segment{begin, end});
   }
 
   /// Convenience overload: the span *is* the contributed segment.
@@ -64,12 +60,16 @@ class Cluster {
 
   /// Whether the sequence has already contributed to this cluster's PST.
   bool HasAbsorbed(size_t seq_index) const {
-    return contributions_.contains(seq_index);
+    return position_.contains(seq_index);
   }
 
-  /// Which segment of each contributing sequence the tree currently counts
-  /// (checkpointing serializes this alongside the tree).
-  const std::unordered_map<size_t, Segment>& contributions() const {
+  /// Which segment of each contributing sequence the tree currently counts,
+  /// in the order the segments were inserted. Every mutation of the tree
+  /// goes through Seed, AbsorbSegment or ResetPst, so inserting these
+  /// segments in this order into an empty tree rebuilds it exactly — node
+  /// ids and §5.1 pruning included. Checkpoints store this table instead
+  /// of the tree.
+  const std::vector<std::pair<size_t, Segment>>& contributions() const {
     return contributions_;
   }
 
@@ -81,8 +81,9 @@ class Cluster {
                           std::span<const Segment> segments) const {
     if (contributions_.size() != members.size()) return false;
     for (size_t i = 0; i < members.size(); ++i) {
-      auto it = contributions_.find(members[i]);
-      if (it == contributions_.end() || !(it->second == segments[i])) {
+      auto it = position_.find(members[i]);
+      if (it == position_.end() ||
+          !(contributions_[it->second].second == segments[i])) {
         return false;
       }
     }
@@ -95,16 +96,12 @@ class Cluster {
   void ResetPst() {
     pst_.Clear();
     contributions_.clear();
+    position_.clear();
     pst_dirty_ = true;
   }
 
   uint32_t id() const { return id_; }
   const Pst& pst() const { return pst_; }
-  /// Mutable tree access conservatively invalidates the frozen snapshot.
-  Pst& mutable_pst() {
-    pst_dirty_ = true;
-    return pst_;
-  }
 
   /// Dirty bit: set whenever the live tree may have diverged from the last
   /// compiled snapshot; cleared by SetFrozen().
@@ -131,29 +128,33 @@ class Cluster {
     members_ = std::move(members);
   }
 
-  /// Reinstates the full cross-iteration state of a cluster when resuming
-  /// from a checkpoint: the counted tree, which segments it counts, the
-  /// seed, and the membership in its stored order. The frozen snapshot is
-  /// deliberately NOT restored — it is a pure function of the tree and the
-  /// background model, and recompiling it on demand is both cheaper to
-  /// store and immune to snapshot/tree skew.
-  void RestoreForResume(Pst pst, int64_t seed_index,
-                        std::vector<size_t> members,
-                        std::vector<std::pair<size_t, Segment>> contributions) {
-    pst_ = std::move(pst);
+  /// Reinstates the cross-iteration state of a cluster when resuming from
+  /// a checkpoint: the seed and the membership in its stored order. The
+  /// tree is not stored; the caller rebuilds it by replaying the recorded
+  /// contributions through AbsorbSegment in their recorded order. The
+  /// frozen snapshot is a pure function of the tree and the background
+  /// model and is recompiled on demand.
+  void RestoreForResume(int64_t seed_index, std::vector<size_t> members) {
     seed_index_ = seed_index;
     members_ = std::move(members);
-    contributions_.clear();
-    contributions_.insert(contributions.begin(), contributions.end());
-    frozen_ = nullptr;
-    pst_dirty_ = true;
   }
 
  private:
+  /// Inserts segment `seg` of `full` and records it as seq_index's
+  /// contribution.
+  void Count(size_t seq_index, std::span<const SymbolId> full, Segment seg) {
+    pst_.InsertSequence(full.subspan(seg.begin, seg.end - seg.begin));
+    position_.emplace(seq_index, contributions_.size());
+    contributions_.emplace_back(seq_index, seg);
+    pst_dirty_ = true;
+  }
+
   uint32_t id_;
   Pst pst_;
-  /// Which segment of each contributing sequence the tree currently counts.
-  std::unordered_map<size_t, Segment> contributions_;
+  /// Which segment of each contributing sequence the tree currently counts,
+  /// in insertion order; position_ maps a sequence to its entry.
+  std::vector<std::pair<size_t, Segment>> contributions_;
+  std::unordered_map<size_t, size_t> position_;
   /// Compiled snapshot of pst_, valid while !pst_dirty_ (see SetFrozen).
   std::shared_ptr<const FrozenPst> frozen_;
   bool pst_dirty_ = true;

@@ -198,8 +198,6 @@ class Pst {
   size_t NumNodes() const { return live_nodes_; }
 
  private:
-  friend class PstSerializer;
-
   // Sparse sorted association lists keep per-node memory proportional to the
   // symbols actually observed (alphabets reach hundreds of symbols).
   struct Node {

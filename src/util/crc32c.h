@@ -1,6 +1,6 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41): the checksum used by every
-// on-disk model format (see pst/pst_serialization.h and
-// pst/bank_serialization.h). Chosen over CRC32 for its widespread use in
+// on-disk format (pst/bank_serialization.h, seq/seqdb_writer.h and
+// core/checkpoint.h). Chosen over CRC32 for its widespread use in
 // storage formats (iSCSI, ext4, RocksDB) and its hardware support story;
 // this implementation is a portable slicing-by-4 table walk, fast enough
 // that checksumming is never the bottleneck next to the disk.

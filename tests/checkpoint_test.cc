@@ -10,9 +10,10 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <limits>
-#include <sstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -21,10 +22,9 @@
 #include "core/cluseq.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
-#include "pst/pst.h"
-#include "pst/pst_serialization.h"
 #include "seq/sequence_database.h"
 #include "synth/dataset.h"
+#include "util/crc32c.h"
 #include "util/fault_injection.h"
 #include "util/file_io.h"
 #include "util/rng.h"
@@ -64,7 +64,8 @@ std::string MakeTempDir(const char* tag) {
   return made;
 }
 
-/// A small but fully-populated checkpoint with a real (loadable) PST blob.
+/// A small but fully-populated checkpoint. Contributions are in insertion
+/// order, which need not be seq_index order.
 ClustererCheckpoint SampleCheckpoint() {
   ClustererCheckpoint ckpt;
   ckpt.options_fingerprint = 0x1234;
@@ -92,26 +93,16 @@ ClustererCheckpoint SampleCheckpoint() {
                        1.0};
   ckpt.unclustered = {2};
 
-  PstOptions pst_options;
-  pst_options.max_depth = 2;
-  pst_options.significance_threshold = 1;
-  Pst pst(4, pst_options);
-  pst.InsertSequence(std::vector<SymbolId>{0, 1, 2, 3, 0, 1, 2, 3, 1, 1});
-  std::ostringstream pst_out;
-  EXPECT_TRUE(SavePst(pst, pst_out).ok());
-
   CheckpointClusterState a;
   a.id = 1;
   a.seed_index = 0;
   a.members = {0, 3};
   a.contributions = {{0, 0, 10}, {3, 2, 9}};
-  a.pst_blob = pst_out.str();
   CheckpointClusterState b;
   b.id = 4;
   b.seed_index = 4;
   b.members = {1, 4, 5};
-  b.contributions = {{1, 0, 5}, {4, 0, 10}, {5, 1, 7}};
-  b.pst_blob = pst_out.str();
+  b.contributions = {{4, 0, 10}, {1, 0, 5}, {5, 1, 7}};
   ckpt.clusters = {a, b};
   return ckpt;
 }
@@ -150,7 +141,6 @@ void ExpectEqual(const ClustererCheckpoint& x, const ClustererCheckpoint& y) {
       EXPECT_EQ(x.clusters[c].contributions[i].end,
                 y.clusters[c].contributions[i].end);
     }
-    EXPECT_EQ(x.clusters[c].pst_blob, y.clusters[c].pst_blob);
   }
 }
 
@@ -605,44 +595,173 @@ TEST(CheckpointResumeTest, StrictResumeSurfacesACorruptNewest) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(CheckpointResumeTest, ResumeFromEveryIterationMatchesExactly) {
+/// Replaces everything in `dir` with one checkpoint file holding `ckpt`, so
+/// a resume has no older file to fall back to.
+void WriteOnlyCheckpoint(const std::string& dir,
+                         const ClustererCheckpoint& ckpt) {
+  std::string bytes;
+  ASSERT_TRUE(EncodeCheckpoint(ckpt, &bytes).ok());
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(EnsureDirectory(dir).ok());
+  ASSERT_TRUE(
+      WriteFileAtomic(CheckpointFilePath(dir, ckpt.iteration), bytes).ok());
+}
+
+/// Loads the newest checkpoint of a completed FastOptions run into `dir`.
+ClustererCheckpoint CheckpointOfARun(const SequenceDatabase& db,
+                                     const std::string& dir) {
+  CluseqOptions o = FastOptions();
+  o.checkpoint_dir = dir;
+  ClusteringResult result;
+  EXPECT_TRUE(RunCluseq(db, o, &result).ok());
+  ClustererCheckpoint ckpt;
+  EXPECT_TRUE(LoadLatestCheckpoint(dir, /*strict=*/true, &ckpt).ok());
+  return ckpt;
+}
+
+TEST(CheckpointResumeTest, ContributionPastSequenceEndIsCorruption) {
+  // The CRCs are valid (EncodeCheckpoint computes them) and the decoder
+  // cannot see the corpus; resume must catch the bad bound before replay
+  // reads past the sequence.
+  SequenceDatabase db = PlantedDb();
+  const std::string dir = MakeTempDir("cluseq_ckpt_past_end");
+  ClustererCheckpoint ckpt = CheckpointOfARun(db, dir);
+  ASSERT_FALSE(ckpt.clusters.empty());
+  ASSERT_FALSE(ckpt.clusters[0].contributions.empty());
+  auto& contrib = ckpt.clusters[0].contributions.back();
+  contrib.end = db.Length(static_cast<size_t>(contrib.seq_index)) + 1;
+  WriteOnlyCheckpoint(dir, ckpt);
+
+  CluseqOptions o = FastOptions();
+  o.checkpoint_dir = dir;
+  o.resume = true;
+  ClusteringResult result;
+  EXPECT_TRUE(RunCluseq(db, o, &result).IsCorruption());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointResumeTest, RepeatedContributionIsCorruption) {
+  SequenceDatabase db = PlantedDb();
+  const std::string dir = MakeTempDir("cluseq_ckpt_repeat");
+  ClustererCheckpoint ckpt = CheckpointOfARun(db, dir);
+  ASSERT_FALSE(ckpt.clusters.empty());
+  auto& contributions = ckpt.clusters[0].contributions;
+  ASSERT_FALSE(contributions.empty());
+  contributions.push_back(contributions.front());
+  WriteOnlyCheckpoint(dir, ckpt);
+
+  CluseqOptions o = FastOptions();
+  o.checkpoint_dir = dir;
+  o.resume = true;
+  ClusteringResult result;
+  EXPECT_TRUE(RunCluseq(db, o, &result).IsCorruption());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointDirTest, OtherFormatVersionIsFailedPreconditionNotCorruption) {
+  std::string v2;
+  ASSERT_TRUE(EncodeCheckpoint(SampleCheckpoint(), &v2).ok());
+  // Header: magic(4) | u32 version | ... | u32 header_crc32c at byte 72,
+  // covering bytes [0, 72).
+  constexpr size_t kVersionOffset = 4;
+  constexpr size_t kHeaderCrcOffset = 72;
+  std::string v1 = v2;
+  const uint32_t version = 1;
+  std::memcpy(v1.data() + kVersionOffset, &version, sizeof(version));
+  const uint32_t crc = Crc32c(v1.data(), kHeaderCrcOffset);
+  std::memcpy(v1.data() + kHeaderCrcOffset, &crc, sizeof(crc));
+
+  obs::Counter& counter = obs::MetricsRegistry::Get().GetCounter(
+      "persistence.corruption_detected");
+  const uint64_t before = counter.Value();
+  ClustererCheckpoint out;
+  Status st = DecodeCheckpoint(v1, &out);
+  EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+  EXPECT_NE(st.message().find("version 1"), std::string::npos);
+  EXPECT_NE(st.message().find("without --resume"), std::string::npos);
+  EXPECT_EQ(counter.Value(), before);
+
+  // The newest file is intact, just foreign: no fallback to the older v2
+  // file, and nothing is unlinked.
+  const std::string dir = MakeTempDir("cluseq_ckpt_version");
+  ASSERT_TRUE(WriteCheckpointRetainTwo(dir, 1, v2).ok());
+  ASSERT_TRUE(WriteCheckpointRetainTwo(dir, 2, v1).ok());
+  EXPECT_TRUE(LoadLatestCheckpoint(dir, /*strict=*/false, &out)
+                  .IsFailedPrecondition());
+  EXPECT_TRUE(FileExists(CheckpointFilePath(dir, 1)));
+  EXPECT_TRUE(FileExists(CheckpointFilePath(dir, 2)));
+  std::filesystem::remove_all(dir);
+}
+
+// --- resume oracle across every tree-mutation mode ----------------------
+
+/// One way the live trees can be mutated across iterations: rebuilt from
+/// the members each iteration or grown cumulatively, with or without a
+/// §5.1 memory budget (pruning depends on insertion order), and with or
+/// without within-scan absorption.
+struct ResumeMode {
+  const char* name;
+  bool rebuild_each_iteration;
+  size_t pst_max_memory_bytes;
+  bool within_scan_updates;
+};
+
+/// Names each arm in test output (and in the ctest names CMake derives).
+void PrintTo(const ResumeMode& mode, std::ostream* os) { *os << mode.name; }
+
+/// Small enough that the planted fixture prunes in some iteration, and
+/// that replaying a cumulative tree's contributions in seq_index order
+/// instead of the recorded one changes its scores.
+constexpr size_t kPruningBudget = 12288;
+
+class CheckpointResumeModes : public ::testing::TestWithParam<ResumeMode> {};
+
+TEST_P(CheckpointResumeModes, ResumeFromEveryIterationMatchesExactly) {
   // The in-process half of the chaos argument: resume from the checkpoint
   // of EVERY iteration boundary (as if killed right after that save) and
   // demand the bit-for-bit final clustering. chaos_resume_test.cc does the
   // same through real SIGKILLed processes.
+  const ResumeMode& mode = GetParam();
+  CluseqOptions o = FastOptions();
+  o.rebuild_each_iteration = mode.rebuild_each_iteration;
+  o.pst.max_memory_bytes = mode.pst_max_memory_bytes;
+  o.within_scan_updates = mode.within_scan_updates;
   SequenceDatabase db = PlantedDb();
   ClusteringResult plain;
-  ASSERT_TRUE(RunCluseq(db, FastOptions(), &plain).ok());
+  ASSERT_TRUE(RunCluseq(db, o, &plain).ok());
   ASSERT_GT(plain.iterations, 2u);
+  if (mode.pst_max_memory_bytes > 0) {
+    size_t pruned = 0;
+    for (const auto& stats : plain.iteration_stats) {
+      pruned += stats.pst_pruned_total;
+    }
+    EXPECT_GT(pruned, 0u) << "the budget never prunes";
+  }
 
-  // A converged run saves boundaries 0 .. iterations-1 (the fixed-point
-  // iteration breaks before its capture), so that range is every file a
-  // kill could leave as the newest.
-  for (uint64_t boundary = 0; boundary < plain.iterations; ++boundary) {
-    const std::string dir = MakeTempDir("cluseq_ckpt_every");
-    // Recreate the exact file a run killed after `boundary` would leave:
-    // run once with checkpointing and keep only that boundary's file.
-    static uint64_t target;
-    static std::string kept_bytes;
-    target = boundary;
-    kept_bytes.clear();
-    SetCheckpointSaveHookForTest(
-        +[](uint64_t iteration, const std::string& path) {
-          if (iteration == target) {
-            EXPECT_TRUE(ReadFileToString(path, &kept_bytes).ok());
-          }
-        });
-    CluseqOptions o = FastOptions();
-    o.checkpoint_dir = dir;
-    ClusteringResult full;
-    ASSERT_TRUE(RunCluseq(db, o, &full).ok());
-    SetCheckpointSaveHookForTest(nullptr);
-    ASSERT_FALSE(kept_bytes.empty()) << "boundary " << boundary;
+  // Record the exact file a run killed after each save would leave.
+  static std::vector<std::pair<uint64_t, std::string>> saved;
+  saved.clear();
+  SetCheckpointSaveHookForTest(
+      +[](uint64_t iteration, const std::string& path) {
+        std::string bytes;
+        EXPECT_TRUE(ReadFileToString(path, &bytes).ok());
+        saved.emplace_back(iteration, std::move(bytes));
+      });
+  const std::string dir = MakeTempDir("cluseq_ckpt_every");
+  o.checkpoint_dir = dir;
+  ClusteringResult full;
+  ASSERT_TRUE(RunCluseq(db, o, &full).ok());
+  SetCheckpointSaveHookForTest(nullptr);
+  ExpectIdenticalResults(plain, full);
+  // Every boundary from 0 on is saved (a converged run's fixed-point
+  // iteration breaks out before its own capture).
+  ASSERT_GE(saved.size(), plain.iterations);
+  for (size_t i = 0; i < saved.size(); ++i) ASSERT_EQ(saved[i].first, i);
 
+  for (const auto& [boundary, bytes] : saved) {
     std::filesystem::remove_all(dir);
     ASSERT_TRUE(EnsureDirectory(dir).ok());
-    ASSERT_TRUE(
-        WriteFileAtomic(CheckpointFilePath(dir, boundary), kept_bytes).ok());
+    ASSERT_TRUE(WriteFileAtomic(CheckpointFilePath(dir, boundary), bytes).ok());
     CluseqOptions resume = o;
     resume.resume = true;
     ClusteringResult resumed;
@@ -650,9 +769,18 @@ TEST(CheckpointResumeTest, ResumeFromEveryIterationMatchesExactly) {
                                                       << boundary;
     EXPECT_TRUE(resumed.resumed_from_checkpoint);
     ExpectIdenticalResults(plain, resumed);
-    std::filesystem::remove_all(dir);
   }
+  std::filesystem::remove_all(dir);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, CheckpointResumeModes,
+    ::testing::Values(ResumeMode{"Default", true, 0, false},
+                      ResumeMode{"Budget", true, kPruningBudget, false},
+                      ResumeMode{"Cumulative", false, 0, false},
+                      ResumeMode{"CumulativeBudget", false, kPruningBudget,
+                                 false},
+                      ResumeMode{"WithinScanUpdates", true, 0, true}));
 
 }  // namespace
 }  // namespace cluseq

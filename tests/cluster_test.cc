@@ -43,6 +43,27 @@ TEST(ClusterTest, AbsorbSegmentOnlyOncePerSequence) {
   EXPECT_EQ(c.pst().total_symbols(), 8u);
 }
 
+TEST(ClusterTest, ContributionsKeepInsertionOrder) {
+  Cluster c(0, 3, Opts());
+  const std::vector<SymbolId> full = {0, 1, 2, 0, 1, 2};
+  c.Seed(full, 7);
+  c.AbsorbSegment(2, full, 1, 4);
+  c.AbsorbSegment(5, full, 0, 2);
+  c.AbsorbSegment(2, full, 0, 6);  // Already counted: not recorded again.
+  using Entry = std::pair<size_t, Cluster::Segment>;
+  EXPECT_EQ(c.contributions(),
+            (std::vector<Entry>{{7, {0, 6}}, {2, {1, 4}}, {5, {0, 2}}}));
+
+  // Replaying them in that order into a fresh cluster rebuilds the tree.
+  Cluster replay(1, 3, Opts());
+  for (const auto& [seq, seg] : c.contributions()) {
+    replay.AbsorbSegment(seq, full, seg.begin, seg.end);
+  }
+  EXPECT_EQ(replay.contributions(), c.contributions());
+  EXPECT_EQ(replay.pst().NumNodes(), c.pst().NumNodes());
+  EXPECT_EQ(replay.pst().total_symbols(), c.pst().total_symbols());
+}
+
 TEST(ClusterTest, MembershipBookkeeping) {
   Cluster c(0, 3, Opts());
   c.AddMember(1);

@@ -6,9 +6,7 @@
 
 #include "baselines/baseline_clusterers.h"
 #include "core/cluseq.h"
-#include "core/similarity.h"
 #include "eval/metrics.h"
-#include "pst/pst_serialization.h"
 #include "seq/io.h"
 #include "synth/language_like.h"
 #include "synth/protein_like.h"
@@ -91,34 +89,6 @@ TEST(IntegrationTest, CluseqBeatsPlainEditDistanceOnBlockStructure) {
   EXPECT_GT(cluseq_acc, ed_acc - 0.05)
       << "cluseq=" << cluseq_acc << " ed=" << ed_acc;
   EXPECT_GT(cluseq_acc, 0.5);
-}
-
-TEST(IntegrationTest, TrainedClusterPstRoundTripsThroughSerialization) {
-  ProteinLikeOptions po;
-  po.num_families = 2;
-  po.scale = 0.02;
-  po.avg_length = 80;
-  po.seed = 24;
-  ProteinLikeDataset d = MakeProteinLikeDataset(po);
-
-  CluseqClusterer clusterer(d.db, SmallOptions());
-  ClusteringResult result;
-  ASSERT_TRUE(clusterer.Run(&result).ok());
-  ASSERT_GE(clusterer.clusters().size(), 1u);
-
-  const Pst& pst = clusterer.clusters()[0].pst();
-  std::stringstream buffer;
-  ASSERT_TRUE(SavePst(pst, buffer).ok());
-  Pst loaded(1, PstOptions{});
-  ASSERT_TRUE(LoadPst(buffer, &loaded).ok());
-
-  // Classification via the loaded tree matches the live tree.
-  BackgroundModel bg = BackgroundModel::FromDatabase(d.db);
-  for (size_t i = 0; i < std::min<size_t>(d.db.size(), 10); ++i) {
-    double live = ComputeSimilarity(pst, bg, d.db[i]).log_sim;
-    double restored = ComputeSimilarity(loaded, bg, d.db[i]).log_sim;
-    EXPECT_DOUBLE_EQ(live, restored);
-  }
 }
 
 TEST(IntegrationTest, MemoryBoundedRunStaysAccurate) {
