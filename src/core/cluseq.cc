@@ -516,10 +516,20 @@ size_t CluseqClusterer::Consolidate() {
   std::vector<size_t> rank(kc);
   for (size_t p = 0; p < kc; ++p) rank[order[p]] = p;
 
-  // seq index -> positions of clusters containing it.
-  std::unordered_map<size_t, std::vector<size_t>> containing;
+  // seq index -> positions of clusters containing it, in CSR form:
+  // containing[offsets[s] .. offsets[s + 1]) in ascending ci.
+  const size_t n = db_.size();
+  std::vector<size_t> offsets(n + 1, 0);
   for (size_t ci = 0; ci < kc; ++ci) {
-    for (size_t s : clusters_[ci].members()) containing[s].push_back(ci);
+    for (size_t s : clusters_[ci].members()) ++offsets[s + 1];
+  }
+  for (size_t s = 0; s < n; ++s) offsets[s + 1] += offsets[s];
+  std::vector<size_t> containing(offsets[n]);
+  {
+    std::vector<size_t> fill(offsets.begin(), offsets.end() - 1);
+    for (size_t ci = 0; ci < kc; ++ci) {
+      for (size_t s : clusters_[ci].members()) containing[fill[s]++] = ci;
+    }
   }
 
   std::vector<bool> alive(kc, true);
@@ -529,7 +539,8 @@ size_t CluseqClusterer::Consolidate() {
     size_t unique = 0;
     for (size_t s : clusters_[i].members()) {
       bool shadowed = false;
-      for (size_t j : containing[s]) {
+      for (size_t k = offsets[s]; k < offsets[s + 1]; ++k) {
+        const size_t j = containing[k];
         if (j != i && alive[j] && rank[j] > rank[i]) {
           shadowed = true;
           break;
@@ -1009,6 +1020,7 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     size_t pst_bytes_total = 0;
     for (const Cluster& c : clusters_) {
       stats.pst_nodes_total += c.pst().NumNodes();
+      stats.pst_arena_bytes_total += c.pst().ArenaBytes();
       if (c.frozen() != nullptr) {
         stats.frozen_states_total += c.frozen()->num_states();
       }
@@ -1043,7 +1055,8 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
                         << "s, refroze " << stats.refrozen_clusters
                         << " clusters, " << stats.pst_nodes_total
                         << " pst nodes (" << stats.pst_pruned_total
-                        << " pruned), " << stats.frozen_states_total
+                        << " pruned, " << stats.pst_arena_bytes_total
+                        << " arena bytes), " << stats.frozen_states_total
                         << " frozen states, phases seed "
                         << stats.seed_seconds << "s (rebuild "
                         << stats.rebuild_seconds << "s) / freeze "

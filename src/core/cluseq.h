@@ -227,6 +227,10 @@ struct IterationStats {
   double scan_seconds = 0.0;
   /// Live PST nodes across all clusters at the end of the iteration.
   size_t pst_nodes_total = 0;
+  /// Bytes the clusters' live PSTs reserve (Pst::ArenaBytes) at the end of
+  /// the iteration. Real memory, unlike the §5.1 cost model that
+  /// --pst-memory budgets are checked against (Pst::ApproxMemoryBytes).
+  size_t pst_arena_bytes_total = 0;
   /// Automaton states across the clusters' latest compiled snapshots at the
   /// end of the iteration (significant contexts plus closure states).
   size_t frozen_states_total = 0;

@@ -87,6 +87,8 @@ void WriteIterationStats(JsonWriter& writer, const IterationStats& stats) {
   writer.KeyValue("refrozen_clusters", uint64_t{stats.refrozen_clusters});
   writer.KeyValue("scan_seconds", stats.scan_seconds);
   writer.KeyValue("pst_nodes_total", uint64_t{stats.pst_nodes_total});
+  writer.KeyValue("pst_arena_bytes_total",
+                  uint64_t{stats.pst_arena_bytes_total});
   writer.KeyValue("frozen_states_total",
                   uint64_t{stats.frozen_states_total});
   writer.KeyValue("pst_pruned_total", uint64_t{stats.pst_pruned_total});

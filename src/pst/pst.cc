@@ -1,9 +1,10 @@
 #include "pst/pst.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <queue>
 #include <limits>
+#include <queue>
 
 #include "obs/metrics.h"
 
@@ -29,18 +30,102 @@ obs::Counter& PrunedByStrategyCounter(PruneStrategy strategy) {
   return smallest;
 }
 
-// Binary search in a sorted association vector.
-template <typename V>
-const std::pair<SymbolId, V>* FindEntry(
-    const std::vector<std::pair<SymbolId, V>>& vec, SymbolId key) {
-  auto it = std::lower_bound(
-      vec.begin(), vec.end(), key,
-      [](const std::pair<SymbolId, V>& e, SymbolId k) { return e.first < k; });
-  if (it == vec.end() || it->first != key) return nullptr;
-  return &*it;
+// §5.1 cost model: what a node and its list entries cost with one
+// heap-allocated vector per list on x86-64. Fixed, so memory budgets prune
+// the same nodes whatever the storage layout.
+constexpr size_t kNodeBytes = 72;
+constexpr size_t kChildEntryBytes = 8;
+constexpr size_t kNextEntryBytes = 16;
+
+// Position of the first entry whose symbol is >= `key` in a sorted list.
+template <typename Entry>
+size_t LowerBound(std::span<Entry> list, SymbolId key) {
+  return static_cast<size_t>(
+      std::lower_bound(list.begin(), list.end(), key,
+                       [](const Entry& e, SymbolId k) { return e.first < k; }) -
+      list.begin());
+}
+
+// The entry with symbol `key`, or nullptr.
+template <typename Entry>
+Entry* FindEntry(std::span<Entry> list, SymbolId key) {
+  const size_t pos = LowerBound(list, key);
+  return pos < list.size() && list[pos].first == key ? &list[pos] : nullptr;
 }
 
 }  // namespace
+
+template <typename Entry>
+uint32_t Pst::ListPool<Entry>::Allocate(uint32_t capacity) {
+  const size_t k = static_cast<size_t>(std::countr_zero(capacity));
+  if (k < free_.size() && !free_[k].empty()) {
+    const uint32_t at = free_[k].back();
+    free_[k].pop_back();
+    return at;
+  }
+  const uint32_t at = static_cast<uint32_t>(slots_.size());
+  slots_.resize(slots_.size() + capacity);
+  return at;
+}
+
+template <typename Entry>
+void Pst::ListPool<Entry>::Free(uint32_t at, uint32_t capacity) {
+  const size_t k = static_cast<size_t>(std::countr_zero(capacity));
+  if (free_.size() <= k) free_.resize(k + 1);
+  free_[k].push_back(at);
+}
+
+template <typename Entry>
+void Pst::ListPool<Entry>::Insert(ListRef& list, size_t pos, Entry entry) {
+  if (list.size == 0 || std::has_single_bit(list.size)) {
+    // Full (an empty list has no block): move to a block twice the size.
+    const uint32_t at = Allocate(list.size == 0 ? 1 : 2 * list.size);
+    Entry* dst = slots_.data() + at;
+    const Entry* src = slots_.data() + list.at;
+    std::copy(src, src + pos, dst);
+    std::copy(src + pos, src + list.size, dst + pos + 1);
+    if (list.size > 0) Free(list.at, list.size);
+    list.at = at;
+  } else {
+    Entry* base = slots_.data() + list.at;
+    std::copy_backward(base + pos, base + list.size, base + list.size + 1);
+  }
+  slots_[list.at + pos] = entry;
+  ++list.size;
+}
+
+template <typename Entry>
+void Pst::ListPool<Entry>::Erase(ListRef& list, size_t pos) {
+  Entry* base = slots_.data() + list.at;
+  std::copy(base + pos + 1, base + list.size, base + pos);
+  --list.size;
+  // Keep the block at bit_ceil(size) slots.
+  if (list.size == 0) {
+    Free(list.at, 1);
+  } else if (std::has_single_bit(list.size)) {
+    Free(list.at + list.size, list.size);
+  }
+}
+
+template <typename Entry>
+void Pst::ListPool<Entry>::Release(ListRef& list) {
+  if (list.size > 0) Free(list.at, std::bit_ceil(list.size));
+  list = ListRef();
+}
+
+template <typename Entry>
+void Pst::ListPool<Entry>::Clear() {
+  slots_.clear();
+  for (auto& blocks : free_) blocks.clear();
+}
+
+template <typename Entry>
+size_t Pst::ListPool<Entry>::CapacityBytes() const {
+  size_t bytes = slots_.capacity() * sizeof(Entry) +
+                 free_.capacity() * sizeof(free_[0]);
+  for (const auto& blocks : free_) bytes += blocks.capacity() * sizeof(uint32_t);
+  return bytes;
+}
 
 Status PstOptions::Validate() const {
   if (max_depth == 0) {
@@ -64,17 +149,15 @@ Pst::Pst(size_t alphabet_size, PstOptions options)
         options_.smoothing_p_min, 0.5 / static_cast<double>(alphabet_size_));
   }
   nodes_.emplace_back();  // Root: empty label, depth 0.
-  approx_bytes_ = sizeof(Node);
+  approx_bytes_ = kNodeBytes;
 }
 
 PstNodeId Pst::GetOrCreateChild(PstNodeId id, SymbolId symbol) {
-  Node& node = nodes_[id];
-  auto it = std::lower_bound(
-      node.children.begin(), node.children.end(), symbol,
-      [](const std::pair<SymbolId, PstNodeId>& e, SymbolId k) {
-        return e.first < k;
-      });
-  if (it != node.children.end() && it->first == symbol) return it->second;
+  const auto children = Children(id);
+  const size_t pos = LowerBound(children, symbol);
+  if (pos < children.size() && children[pos].first == symbol) {
+    return children[pos].second;
+  }
 
   PstNodeId child_id;
   if (!free_list_.empty()) {
@@ -84,20 +167,14 @@ PstNodeId Pst::GetOrCreateChild(PstNodeId id, SymbolId symbol) {
   } else {
     child_id = static_cast<PstNodeId>(nodes_.size());
     nodes_.emplace_back();
-    // nodes_ may have reallocated; `node` reference is refreshed below.
   }
   Node& parent = nodes_[id];
   Node& child = nodes_[child_id];
   child.parent = id;
   child.edge_symbol = symbol;
   child.depth = parent.depth + 1;
-  auto insert_at = std::lower_bound(
-      parent.children.begin(), parent.children.end(), symbol,
-      [](const std::pair<SymbolId, PstNodeId>& e, SymbolId k) {
-        return e.first < k;
-      });
-  parent.children.insert(insert_at, {symbol, child_id});
-  approx_bytes_ += sizeof(Node) + sizeof(std::pair<SymbolId, PstNodeId>);
+  children_.Insert(parent.children, pos, {symbol, child_id});
+  approx_bytes_ += kNodeBytes + kChildEntryBytes;
   ++live_nodes_;
   static obs::Counter& created =
       obs::MetricsRegistry::Get().GetCounter("pst.nodes_created");
@@ -105,18 +182,15 @@ PstNodeId Pst::GetOrCreateChild(PstNodeId id, SymbolId symbol) {
   return child_id;
 }
 
-void Pst::BumpNext(PstNodeId id, SymbolId s) {
+void Pst::AddNext(PstNodeId id, SymbolId s, uint64_t n) {
   Node& node = nodes_[id];
-  auto it = std::lower_bound(
-      node.next.begin(), node.next.end(), s,
-      [](const std::pair<SymbolId, uint64_t>& e, SymbolId k) {
-        return e.first < k;
-      });
-  if (it != node.next.end() && it->first == s) {
-    ++it->second;
+  const auto next = next_.View(node.next);
+  const size_t pos = LowerBound(next, s);
+  if (pos < next.size() && next[pos].first == s) {
+    next[pos].second += n;
   } else {
-    node.next.insert(it, {s, 1});
-    approx_bytes_ += sizeof(std::pair<SymbolId, uint64_t>);
+    next_.Insert(node.next, pos, {s, n});
+    approx_bytes_ += kNextEntryBytes;
   }
 }
 
@@ -129,12 +203,12 @@ void Pst::InsertSequence(std::span<const SymbolId> symbols) {
     const SymbolId next = symbols[i];
     PstNodeId cur = kPstRoot;
     ++nodes_[kPstRoot].count;
-    BumpNext(kPstRoot, next);
+    AddNext(kPstRoot, next, 1);
     const size_t max_d = std::min(i, options_.max_depth);
     for (size_t d = 1; d <= max_d; ++d) {
       cur = GetOrCreateChild(cur, symbols[i - d]);
       ++nodes_[cur].count;
-      BumpNext(cur, next);
+      AddNext(cur, next, 1);
     }
   }
   if (options_.max_memory_bytes > 0 &&
@@ -176,7 +250,7 @@ double Pst::NodeProbability(PstNodeId id, SymbolId next) const {
   if (node.count == 0) {
     raw = alphabet_size_ > 0 ? 1.0 / static_cast<double>(alphabet_size_) : 0.0;
   } else {
-    const auto* entry = FindEntry(node.next, next);
+    const auto* entry = FindEntry(Next(node), next);
     raw = entry == nullptr
               ? 0.0
               : static_cast<double>(entry->second) /
@@ -208,13 +282,13 @@ double Pst::LogSequenceProbability(std::span<const SymbolId> symbols) const {
 }
 
 PstNodeId Pst::Child(PstNodeId id, SymbolId symbol) const {
-  const auto* entry = FindEntry(nodes_[id].children, symbol);
+  const auto* entry = FindEntry(Children(id), symbol);
   return entry == nullptr ? kNoPstNode : entry->second;
 }
 
-std::vector<std::pair<SymbolId, PstNodeId>> Pst::Children(
+std::span<const std::pair<SymbolId, PstNodeId>> Pst::Children(
     PstNodeId id) const {
-  return nodes_[id].children;
+  return children_.View(nodes_[id].children);
 }
 
 std::vector<SymbolId> Pst::NodeLabel(PstNodeId id) const {
@@ -230,14 +304,8 @@ std::vector<SymbolId> Pst::NodeLabel(PstNodeId id) const {
 }
 
 uint64_t Pst::NextCount(PstNodeId id, SymbolId s) const {
-  const auto* entry = FindEntry(nodes_[id].next, s);
+  const auto* entry = FindEntry(Next(nodes_[id]), s);
   return entry == nullptr ? 0 : entry->second;
-}
-
-size_t Pst::NodeBytes(const Node& node) const {
-  return sizeof(Node) +
-         node.children.size() * sizeof(std::pair<SymbolId, PstNodeId>) +
-         node.next.size() * sizeof(std::pair<SymbolId, uint64_t>);
 }
 
 double Pst::CpdDistanceToParent(const Node& node) const {
@@ -247,8 +315,8 @@ double Pst::CpdDistanceToParent(const Node& node) const {
   // L1 (variational) distance over the union of observed next symbols.
   double dist = 0.0;
   size_t i = 0, j = 0;
-  const auto& a = node.next;
-  const auto& b = parent.next;
+  const auto a = Next(node);
+  const auto b = Next(parent);
   const double ca = static_cast<double>(node.count);
   const double cb = static_cast<double>(parent.count);
   while (i < a.size() || j < b.size()) {
@@ -292,18 +360,15 @@ double Pst::PruneScore(const Node& node) const {
 void Pst::RemoveLeaf(PstNodeId id) {
   Node& node = nodes_[id];
   Node& parent = nodes_[node.parent];
-  auto it = std::lower_bound(
-      parent.children.begin(), parent.children.end(), node.edge_symbol,
-      [](const std::pair<SymbolId, PstNodeId>& e, SymbolId k) {
-        return e.first < k;
-      });
-  if (it != parent.children.end() && it->first == node.edge_symbol) {
-    parent.children.erase(it);
-    approx_bytes_ -= sizeof(std::pair<SymbolId, PstNodeId>);
+  const auto siblings = Children(node.parent);
+  const size_t pos = LowerBound(siblings, node.edge_symbol);
+  if (pos < siblings.size() && siblings[pos].first == node.edge_symbol) {
+    children_.Erase(parent.children, pos);
+    approx_bytes_ -= kChildEntryBytes;
   }
-  approx_bytes_ -= NodeBytes(node) -
-                   node.children.size() *
-                       sizeof(std::pair<SymbolId, PstNodeId>);
+  approx_bytes_ -= kNodeBytes + node.next.size * kNextEntryBytes;
+  children_.Release(node.children);
+  next_.Release(node.next);
   node = Node();
   node.dead = true;
   free_list_.push_back(id);
@@ -327,7 +392,7 @@ void Pst::PruneToBudget(size_t target_bytes) {
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
   for (PstNodeId id = 1; id < nodes_.size(); ++id) {
     const Node& node = nodes_[id];
-    if (!node.dead && node.children.empty()) {
+    if (!node.dead && node.children.size == 0) {
       heap.emplace(PruneScore(node), id);
     }
   }
@@ -336,12 +401,12 @@ void Pst::PruneToBudget(size_t target_bytes) {
     auto [score, id] = heap.top();
     heap.pop();
     Node& node = nodes_[id];
-    if (node.dead || !node.children.empty()) continue;  // Stale entry.
+    if (node.dead || node.children.size > 0) continue;  // Stale entry.
     PstNodeId parent = node.parent;
     RemoveLeaf(id);
     ++removed;
     if (parent != kPstRoot && parent != kNoPstNode &&
-        nodes_[parent].children.empty()) {
+        nodes_[parent].children.size == 0) {
       heap.emplace(PruneScore(nodes_[parent]), parent);
     }
   }
@@ -359,9 +424,17 @@ void Pst::PruneToBudget(size_t target_bytes) {
 void Pst::Clear() {
   nodes_.clear();
   free_list_.clear();
+  children_.Clear();
+  next_.Clear();
   nodes_.emplace_back();
-  approx_bytes_ = sizeof(Node);
+  approx_bytes_ = kNodeBytes;
   live_nodes_ = 1;
+}
+
+size_t Pst::ArenaBytes() const {
+  return nodes_.capacity() * sizeof(Node) +
+         free_list_.capacity() * sizeof(PstNodeId) +
+         children_.CapacityBytes() + next_.CapacityBytes();
 }
 
 PstStats Pst::Stats() const {
@@ -389,7 +462,9 @@ Status Pst::MergeFrom(const Pst& other) {
   if (other.alphabet_size_ != alphabet_size_) {
     return Status::InvalidArgument("alphabet size mismatch in PST merge");
   }
-  // Walk `other` pre-order, mirroring each live node into this tree.
+  // Walk `other` pre-order, mirroring each live node into this tree. When
+  // `other` is this tree every list entry already exists, so the views of
+  // `other` are never moved by an insertion.
   struct Frame {
     PstNodeId theirs;
     PstNodeId ours;
@@ -399,23 +474,12 @@ Status Pst::MergeFrom(const Pst& other) {
     Frame frame = stack.back();
     stack.pop_back();
     const Node& theirs = other.nodes_[frame.theirs];
-    Node& ours = nodes_[frame.ours];
-    ours.count += theirs.count;
-    for (const auto& [sym, cnt] : theirs.next) {
-      auto it = std::lower_bound(
-          ours.next.begin(), ours.next.end(), sym,
-          [](const std::pair<SymbolId, uint64_t>& e, SymbolId k) {
-            return e.first < k;
-          });
-      if (it != ours.next.end() && it->first == sym) {
-        it->second += cnt;
-      } else {
-        ours.next.insert(it, {sym, cnt});
-        approx_bytes_ += sizeof(std::pair<SymbolId, uint64_t>);
-      }
+    nodes_[frame.ours].count += theirs.count;
+    for (const auto& [sym, cnt] : other.Next(theirs)) {
+      AddNext(frame.ours, sym, cnt);
     }
     if (theirs.depth >= options_.max_depth) continue;
-    for (const auto& [sym, their_child] : theirs.children) {
+    for (const auto& [sym, their_child] : other.Children(frame.theirs)) {
       PstNodeId our_child = GetOrCreateChild(frame.ours, sym);
       stack.push_back({their_child, our_child});
     }
@@ -447,7 +511,7 @@ std::vector<PstContextInfo> Pst::TopContexts(size_t limit) const {
     info.context = NodeLabel(id);
     info.count = count;
     const Node& node = nodes_[id];
-    for (const auto& [sym, cnt] : node.next) {
+    for (const auto& [sym, cnt] : Next(node)) {
       double p = node.count == 0 ? 0.0
                                  : static_cast<double>(cnt) /
                                        static_cast<double>(node.count);

@@ -25,7 +25,20 @@
 // Memory management (paper §5.1): the tree tracks an approximate byte size;
 // when it exceeds `max_memory_bytes` leaves are pruned by one of the three
 // strategies from the paper (smallest count first, longest label first,
-// most-expected probability vector first).
+// most-expected probability vector first). The size is a fixed cost model,
+// not a measurement: 72 B per node, 8 B per child entry and 16 B per
+// next-symbol entry, so a budget prunes the same nodes on every build.
+// ArenaBytes() reports what the storage below really holds.
+//
+// Layout: every node is a trivially copyable record in one `nodes_` arena,
+// addressed by PstNodeId. A node's two sorted association lists — children
+// (symbol, child id) and next-symbol counts (symbol, count) — live in two
+// pools, each carved into power-of-two blocks with one free list per block
+// size. A list that fills moves to a block twice its size and returns the
+// old block to its free list. Clear() keeps every buffer's capacity, so a
+// tree rebuilt each iteration reuses the previous build's memory, and
+// dropping a tree frees a handful of buffers whatever its size. Removed
+// node ids are reused LIFO.
 //
 // Probability smoothing (paper §5.2): with `smoothing_p_min` > 0, queried
 // probabilities are adjusted as P̂ = (1 − n·p_min)·P + p_min so no symbol is
@@ -158,8 +171,9 @@ class Pst {
   /// or kNoPstNode.
   PstNodeId Child(PstNodeId id, SymbolId symbol) const;
 
-  /// All (symbol, child) pairs of a node, sorted by symbol.
-  std::vector<std::pair<SymbolId, PstNodeId>> Children(PstNodeId id) const;
+  /// All (symbol, child) pairs of a node, sorted by symbol. The view is
+  /// invalidated by any change to the tree.
+  std::span<const std::pair<SymbolId, PstNodeId>> Children(PstNodeId id) const;
 
   /// The node's label in natural (un-reversed) order, i.e. the context
   /// segment the node represents. Root → empty.
@@ -189,7 +203,11 @@ class Pst {
   void Clear();
 
   PstStats Stats() const;
+  /// The §5.1 cost model that memory budgets are checked against.
   size_t ApproxMemoryBytes() const { return approx_bytes_; }
+  /// Bytes the tree's buffers actually reserve: the node arena, both list
+  /// pools and the free lists, counted by capacity.
+  size_t ArenaBytes() const;
   size_t alphabet_size() const { return alphabet_size_; }
   const PstOptions& options() const { return options_; }
   uint64_t total_symbols() const { return nodes_[kPstRoot].count; }
@@ -198,30 +216,73 @@ class Pst {
   size_t NumNodes() const { return live_nodes_; }
 
  private:
-  // Sparse sorted association lists keep per-node memory proportional to the
-  // symbols actually observed (alphabets reach hundreds of symbols).
+  using ChildEntry = std::pair<SymbolId, PstNodeId>;
+  using NextEntry = std::pair<SymbolId, uint64_t>;
+
+  // A sorted association list in a ListPool: `size` entries from slot `at`,
+  // inside a block of bit_ceil(size) slots (no block while empty).
+  struct ListRef {
+    uint32_t at = 0;
+    uint32_t size = 0;
+  };
+
+  // Slots for one kind of association list, carved into power-of-two
+  // blocks; free_[k] holds the offsets of unused blocks of 2^k slots.
+  template <typename Entry>
+  class ListPool {
+   public:
+    std::span<const Entry> View(ListRef list) const {
+      return {slots_.data() + list.at, list.size};
+    }
+    std::span<Entry> View(ListRef list) {
+      return {slots_.data() + list.at, list.size};
+    }
+    // Inserts `entry` at position `pos`, moving a full list to a block of
+    // twice its size.
+    void Insert(ListRef& list, size_t pos, Entry entry);
+    // Removes the entry at `pos`; a list down to half its block hands the
+    // upper half back.
+    void Erase(ListRef& list, size_t pos);
+    // Returns the list's block and empties it.
+    void Release(ListRef& list);
+    // Drops every block, keeping capacity.
+    void Clear();
+    size_t CapacityBytes() const;
+
+   private:
+    uint32_t Allocate(uint32_t capacity);
+    void Free(uint32_t at, uint32_t capacity);
+
+    std::vector<Entry> slots_;
+    std::vector<std::vector<uint32_t>> free_;
+  };
+
   struct Node {
     uint64_t count = 0;
     PstNodeId parent = kNoPstNode;
     SymbolId edge_symbol = kInvalidSymbol;
     uint32_t depth = 0;
     bool dead = false;
-    std::vector<std::pair<SymbolId, PstNodeId>> children;  // sorted by first
-    std::vector<std::pair<SymbolId, uint64_t>> next;       // sorted by first
+    ListRef children;  // In children_, sorted by symbol.
+    ListRef next;      // In next_, sorted by symbol.
   };
 
+  std::span<const NextEntry> Next(const Node& node) const {
+    return next_.View(node.next);
+  }
   PstNodeId GetOrCreateChild(PstNodeId id, SymbolId symbol);
-  void BumpNext(PstNodeId id, SymbolId s);
+  void AddNext(PstNodeId id, SymbolId s, uint64_t n);
   void RemoveLeaf(PstNodeId id);
   double PruneScore(const Node& node) const;
   // L1 distance between a node's CPD and its parent's (strategy 3).
   double CpdDistanceToParent(const Node& node) const;
-  size_t NodeBytes(const Node& node) const;
 
   size_t alphabet_size_;
   PstOptions options_;
   std::vector<Node> nodes_;
   std::vector<PstNodeId> free_list_;
+  ListPool<ChildEntry> children_;
+  ListPool<NextEntry> next_;
   size_t approx_bytes_ = 0;
   size_t live_nodes_ = 1;
 };

@@ -75,6 +75,36 @@ TEST(PstMergeTest, MergePreservesQueries) {
   }
 }
 
+TEST(PstMergeTest, SelfMergeDoublesCounts) {
+  // The source's lists are read from the pools the merge writes to.
+  Symbols text = RandomText(400, 20, 12);
+  Pst a(20, Opts(6, 2));
+  a.InsertSequence(text);
+  Pst twice(20, Opts(6, 2));
+  twice.InsertSequence(text);
+  twice.InsertSequence(text);
+  const size_t nodes = a.NumNodes();
+  const size_t bytes = a.ApproxMemoryBytes();
+  ASSERT_TRUE(a.MergeFrom(a).ok());
+  EXPECT_EQ(a.NumNodes(), nodes);
+  EXPECT_EQ(a.ApproxMemoryBytes(), bytes);
+  std::map<Symbols, uint64_t> expect, got;
+  CollectCounts(twice, kPstRoot, &expect);
+  CollectCounts(a, kPstRoot, &got);
+  EXPECT_EQ(expect, got);
+  Rng rng(13);
+  for (int trial = 0; trial < 200; ++trial) {
+    Symbols ctx(rng.Uniform(7));
+    for (auto& s : ctx) s = static_cast<SymbolId>(rng.Uniform(20));
+    const PstNodeId x = a.DeepestExistingNode(ctx);
+    const PstNodeId y = twice.DeepestExistingNode(ctx);
+    ASSERT_EQ(a.NodeLabel(x), twice.NodeLabel(y));
+    for (SymbolId s = 0; s < 20; ++s) {
+      EXPECT_EQ(a.NextCount(x, s), twice.NextCount(y, s));
+    }
+  }
+}
+
 TEST(PstMergeTest, AlphabetMismatchRejected) {
   Pst a(3, Opts(4, 2)), b(4, Opts(4, 2));
   EXPECT_TRUE(a.MergeFrom(b).IsInvalidArgument());

@@ -109,6 +109,9 @@ TEST(RunReportTest, RoundTripMatchesIterationStats) {
                      expect.scan_seconds);
     EXPECT_EQ(stats->Find("pst_nodes_total")->number,
               static_cast<double>(expect.pst_nodes_total));
+    EXPECT_EQ(stats->Find("pst_arena_bytes_total")->number,
+              static_cast<double>(expect.pst_arena_bytes_total));
+    EXPECT_GT(expect.pst_arena_bytes_total, 0u);
     EXPECT_EQ(stats->Find("frozen_states_total")->number,
               static_cast<double>(expect.frozen_states_total));
     EXPECT_EQ(stats->Find("pst_pruned_total")->number,
