@@ -7,6 +7,10 @@
 #include <memory>
 #include <unordered_map>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/checkpoint.h"
 #include "core/prefilter.h"
 #include "core/seeding.h"
@@ -68,6 +72,18 @@ Status CluseqOptions::Validate() const {
     return Status::InvalidArgument("adjust_bound_window must be > 0");
   }
   return pst.Validate();
+}
+
+const char* StopReasonName(StopReason reason) {
+  switch (reason) {
+    case StopReason::kFixedPoint:
+      return "fixed_point";
+    case StopReason::kMaxIterations:
+      return "max_iterations";
+    case StopReason::kCancelled:
+      return "cancelled";
+  }
+  return "unknown";
 }
 
 double ClusteringResult::final_threshold() const {
@@ -235,14 +251,14 @@ void CluseqClusterer::RebuildClusterPsts() {
   // iterations, never inside a scan.
   //
   // Incremental skip: when the recomputed segments are exactly what the
-  // tree already counts, resetting and reinserting them would reproduce the
+  // tree already counts, rebuilding from them would reproduce the
   // identical tree (pure counting is commutative across insert order), so
   // the tree — and its compiled snapshot — is left untouched and the
   // cluster needs no re-freeze this iteration. A memory budget makes
   // insertion-order-dependent pruning kick in, so then we always rebuild.
   const bool can_skip = options_.pst.max_memory_bytes == 0;
   CLUSEQ_TRACE_SPAN("cluseq.rebuild_psts");
-  Stopwatch rebuild_timer;
+  Stopwatch resegment_timer;
   const double freeze_before = freeze_seconds_this_iter_;
   // Freeze every stale summary up front (independent per-cluster tasks);
   // the segment recomputation below reads only compiled snapshots, which
@@ -259,10 +275,11 @@ void CluseqClusterer::RebuildClusterPsts() {
     uint32_t member;
   };
   std::vector<Item> items;
-  std::vector<std::vector<Cluster::Segment>> segments(kc);
+  std::vector<std::vector<std::pair<size_t, Cluster::Segment>>> contributions(
+      kc);
   for (size_t ci = 0; ci < kc; ++ci) {
     const size_t count = clusters_[ci].members().size();
-    segments[ci].resize(count);
+    contributions[ci].resize(count);
     for (size_t mi = 0; mi < count; ++mi) {
       items.push_back({static_cast<uint32_t>(ci), static_cast<uint32_t>(mi)});
     }
@@ -277,30 +294,60 @@ void CluseqClusterer::RebuildClusterPsts() {
         const Item& it = items[i];
         const Cluster& cluster = clusters_[it.cluster];
         const size_t s = cluster.members()[it.member];
-        SimilarityResult sim = ComputeSimilarity(*cluster.frozen(), db_.Symbols(s));
-        segments[it.cluster][it.member] = {sim.best_begin, sim.best_end};
+        SimilarityResult sim =
+            ComputeSimilarity(*cluster.frozen(), db_.Symbols(s));
+        contributions[it.cluster][it.member] = {
+            s, {sim.best_begin, sim.best_end}};
       });
-  // Clusters are disjoint state and each is rebuilt by exactly one task in
-  // member order, so insertion-order-dependent pruning under a memory
-  // budget reproduces the serial rebuild bit-for-bit.
+  resegment_seconds_this_iter_ += resegment_timer.ElapsedSeconds() -
+                                  (freeze_seconds_this_iter_ - freeze_before);
+  // Build counts the members' segments in member order, so each tree (and
+  // any pruning under a memory budget) is the serial insertion's, bit for
+  // bit, on any number of workers. A cluster holding at least a worker's
+  // share of the symbols to count is built alone on every worker, so one
+  // large cluster is not left to a single thread; the others are built
+  // side by side, one worker each. Under a memory budget Build runs the
+  // insertion loop on one thread, so then every cluster is built side by
+  // side.
+  Stopwatch build_timer;
+  std::vector<size_t> rebuilt;
+  std::vector<uint64_t> symbols(kc, 0);
+  uint64_t total_symbols = 0;
+  for (size_t ci = 0; ci < kc; ++ci) {
+    if (contributions[ci].empty()) continue;
+    if (can_skip && clusters_[ci].ContributionsMatch(contributions[ci])) {
+      continue;
+    }
+    for (const auto& [s, segment] : contributions[ci]) {
+      symbols[ci] += segment.end - segment.begin;
+    }
+    total_symbols += symbols[ci];
+    rebuilt.push_back(ci);
+  }
+  const size_t threads = options_.num_threads;
+  std::vector<size_t> shared;
+  for (size_t ci : rebuilt) {
+    if (can_skip && threads > 1 && symbols[ci] * threads >= total_symbols) {
+      clusters_[ci].Rebuild(contributions[ci], db_, threads);
+    } else {
+      shared.push_back(ci);
+    }
+  }
   ParallelForWeighted(
-      kc, options_.num_threads,
-      [&](size_t ci) -> uint64_t { return clusters_[ci].size(); },
-      [&](size_t ci) {
-        Cluster& cluster = clusters_[ci];
-        const std::vector<size_t>& members = cluster.members();
-        if (members.empty()) return;
-        if (can_skip && cluster.ContributionsMatch(members, segments[ci])) {
-          return;
-        }
-        cluster.ResetPst();
-        for (size_t i = 0; i < members.size(); ++i) {
-          cluster.AbsorbSegment(members[i], db_.Symbols(members[i]),
-                                segments[ci][i].begin, segments[ci][i].end);
-        }
+      shared.size(), threads,
+      [&](size_t i) -> uint64_t { return symbols[shared[i]]; },
+      [&](size_t i) {
+        clusters_[shared[i]].Rebuild(contributions[shared[i]], db_, 1);
       });
-  rebuild_seconds_this_iter_ += rebuild_timer.ElapsedSeconds() -
-                                (freeze_seconds_this_iter_ - freeze_before);
+#if defined(__GLIBC__)
+  // glibc keeps freed heap memory in its arenas. The builds' scratch and
+  // the trees regrown by workers leave free pages behind that otherwise
+  // accumulate over the iterations (measured on protein-tuned: peak RSS
+  // ~13% above the insertion loop's, with the same live memory). Hand
+  // them back once per rebuild; it takes about 1.5 ms.
+  malloc_trim(0);
+#endif
+  build_seconds_this_iter_ += build_timer.ElapsedSeconds();
 }
 
 size_t CluseqClusterer::RefreshFrozen() {
@@ -676,16 +723,18 @@ Status CluseqClusterer::RestoreFromCheckpoint(
   rng_.RestoreState(ckpt.rng);
   clusters_.clear();
   clusters_.reserve(ckpt.clusters.size());
+  std::vector<std::pair<size_t, Cluster::Segment>> contributions;
   for (const CheckpointClusterState& state : ckpt.clusters) {
     Cluster cluster(state.id, db_.alphabet().size(), options_.pst);
-    // Replaying the contributions in their recorded order repeats the
+    // Rebuilding from the contributions in their recorded order repeats the
     // original insertions (and any §5.1 pruning) exactly.
+    contributions.clear();
     for (const auto& contrib : state.contributions) {
-      const size_t seq = static_cast<size_t>(contrib.seq_index);
-      cluster.AbsorbSegment(seq, db_.Symbols(seq),
-                            static_cast<size_t>(contrib.begin),
-                            static_cast<size_t>(contrib.end));
+      contributions.push_back({static_cast<size_t>(contrib.seq_index),
+                               {static_cast<size_t>(contrib.begin),
+                                static_cast<size_t>(contrib.end)}});
     }
+    cluster.Rebuild(contributions, db_, options_.num_threads);
     cluster.RestoreForResume(
         state.seed_index,
         std::vector<size_t>(state.members.begin(), state.members.end()));
@@ -726,6 +775,8 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
   result->best_cluster.assign(n, -1);
   result->best_log_sim.assign(n, kNegInf);
   if (n == 0) {
+    result->stop_reason = StopReason::kFixedPoint;
+    report_->stop_reason = result->stop_reason;
     report_->final_metrics = registry.Snapshot();
     return Status::OK();
   }
@@ -911,7 +962,8 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     join_seconds_this_iter_ = 0.0;
     freeze_seconds_this_iter_ = 0.0;
     assemble_seconds_this_iter_ = 0.0;
-    rebuild_seconds_this_iter_ = 0.0;
+    resegment_seconds_this_iter_ = 0.0;
+    build_seconds_this_iter_ = 0.0;
     prefilter_pairs_this_iter_ = 0;
     prefilter_skipped_this_iter_ = 0;
     prefilter_l15_this_iter_ = 0;
@@ -1002,7 +1054,9 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     stats.refrozen_clusters = refrozen_this_iter_;
     stats.scan_seconds = scan_seconds_this_iter_;
     stats.seed_seconds = seed_seconds;
-    stats.rebuild_seconds = rebuild_seconds_this_iter_;
+    stats.resegment_seconds = resegment_seconds_this_iter_;
+    stats.build_seconds = build_seconds_this_iter_;
+    stats.rebuild_seconds = stats.resegment_seconds + stats.build_seconds;
     stats.freeze_seconds = freeze_seconds_this_iter_;
     stats.assemble_seconds = assemble_seconds_this_iter_;
     stats.join_seconds = join_seconds_this_iter_;
@@ -1059,7 +1113,9 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
                         << " arena bytes), " << stats.frozen_states_total
                         << " frozen states, phases seed "
                         << stats.seed_seconds << "s (rebuild "
-                        << stats.rebuild_seconds << "s) / freeze "
+                        << stats.rebuild_seconds << "s: resegment "
+                        << stats.resegment_seconds << "s, build "
+                        << stats.build_seconds << "s) / freeze "
                         << stats.freeze_seconds << "s / assemble "
                         << stats.assemble_seconds << "s / join "
                         << stats.join_seconds
@@ -1093,7 +1149,9 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     std::vector<uint64_t> fingerprint = MembershipFingerprint();
     if (have_prev_fingerprint && fingerprint == prev_fingerprint &&
         generated == consolidated && threshold_stable) {
-      break;  // Fixed point: same clusters, same memberships, stable t.
+      // Fixed point: same clusters, same memberships, stable t.
+      result->stop_reason = StopReason::kFixedPoint;
+      break;
     }
     prev_fingerprint = std::move(fingerprint);
     have_prev_fingerprint = true;
@@ -1118,6 +1176,7 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     // what Run() returned after that iteration — never a partial one.
     if (checkpointing) CLUSEQ_RETURN_NOT_OK(flush_pending());
     result->interrupted = true;
+    result->stop_reason = StopReason::kCancelled;
     result->iterations = static_cast<size_t>(boundary.iteration);
     result->final_log_threshold = boundary.log_t;
     result->num_unclustered = boundary.num_unclustered;
@@ -1182,6 +1241,7 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
       have_saved ? static_cast<size_t>(last_saved_iteration) : 0;
   report_->resumed_from_checkpoint = result->resumed_from_checkpoint;
   report_->interrupted = result->interrupted;
+  report_->stop_reason = result->stop_reason;
   report_->final_metrics = registry.Snapshot();
   return Status::OK();
 }

@@ -241,10 +241,15 @@ struct IterationStats {
   double seed_seconds = 0.0;
   /// Nested leaves of the phases above. rebuild_seconds: the per-iteration
   /// PST rebuild (RebuildClusterPsts, inside seed_seconds) without its
-  /// re-freeze; freeze_seconds: every PST → FrozenPst compile of the
-  /// iteration (inside seed_seconds and scan_seconds); assemble_seconds:
-  /// packing the snapshots into the scoring bank (inside scan_seconds).
+  /// re-freeze, the sum of resegment_seconds (each member's best segment
+  /// recomputed against the post-join snapshots) and build_seconds (the
+  /// trees built from those segments); freeze_seconds: every PST →
+  /// FrozenPst compile of the iteration (inside seed_seconds and
+  /// scan_seconds); assemble_seconds: packing the snapshots into the
+  /// scoring bank (inside scan_seconds).
   double rebuild_seconds = 0.0;
+  double resegment_seconds = 0.0;
+  double build_seconds = 0.0;
   double freeze_seconds = 0.0;
   double assemble_seconds = 0.0;
   /// Wall time of the join/absorb apply phase (0 in §4.2 within-scan mode,
@@ -265,6 +270,20 @@ struct IterationStats {
   /// compare the algorithmic fields above stay untouched.
   std::vector<obs::PhasePerf> phase_perf;
 };
+
+/// Why Run() stopped iterating.
+enum class StopReason {
+  /// An iteration left the clusters, their memberships and t unchanged.
+  kFixedPoint,
+  /// The loop ran options.max_iterations iterations.
+  kMaxIterations,
+  /// The cancellation token fired; the result is the last completed
+  /// iteration boundary.
+  kCancelled,
+};
+
+/// "fixed_point", "max_iterations" or "cancelled".
+const char* StopReasonName(StopReason reason);
 
 struct ClusteringResult {
   /// Member sequence indices of each final cluster (clusters may overlap).
@@ -295,6 +314,9 @@ struct ClusteringResult {
   /// True when this run resumed from a checkpoint instead of starting
   /// fresh.
   bool resumed_from_checkpoint = false;
+
+  /// Why the loop stopped. An empty database is a fixed point.
+  StopReason stop_reason = StopReason::kMaxIterations;
 
   size_t num_clusters() const { return clusters.size(); }
 };
@@ -381,7 +403,8 @@ class CluseqClusterer {
   double join_seconds_this_iter_ = 0.0;
   double freeze_seconds_this_iter_ = 0.0;
   double assemble_seconds_this_iter_ = 0.0;
-  double rebuild_seconds_this_iter_ = 0.0;
+  double resegment_seconds_this_iter_ = 0.0;
+  double build_seconds_this_iter_ = 0.0;
   // Whether the prefilter may prune scans (fixed per run: prefilter ∧
   // batched_scan ∧ ¬within_scan_updates).
   bool prefilter_active_ = false;

@@ -14,6 +14,7 @@
 #include "pst/frozen_pst.h"
 #include "pst/pst.h"
 #include "seq/sequence.h"
+#include "seq/sequence_store.h"
 
 namespace cluseq {
 
@@ -65,39 +66,57 @@ class Cluster {
 
   /// Which segment of each contributing sequence the tree currently counts,
   /// in the order the segments were inserted. Every mutation of the tree
-  /// goes through Seed, AbsorbSegment or ResetPst, so inserting these
-  /// segments in this order into an empty tree rebuilds it exactly — node
-  /// ids and §5.1 pruning included. Checkpoints store this table instead
-  /// of the tree.
+  /// goes through Seed, AbsorbSegment or Rebuild, so rebuilding
+  /// from these segments in this order gives the identical tree — node ids
+  /// and §5.1 pruning included. Checkpoints store this table instead of
+  /// the tree.
   const std::vector<std::pair<size_t, Segment>>& contributions() const {
     return contributions_;
   }
 
-  /// True iff the PST currently counts exactly the segments `segments[i]`
-  /// of sequences `members[i]` (parallel arrays) and nothing else — i.e.
-  /// rebuilding the tree from them would re-count the identical multiset of
-  /// insertions. The incremental re-freeze skip hinges on this.
-  bool ContributionsMatch(const std::vector<size_t>& members,
-                          std::span<const Segment> segments) const {
-    if (contributions_.size() != members.size()) return false;
-    for (size_t i = 0; i < members.size(); ++i) {
-      auto it = position_.find(members[i]);
+  /// True iff the PST currently counts exactly segment
+  /// `contributions[i].second` of each sequence `contributions[i].first`
+  /// and nothing else — i.e. rebuilding the tree from them would re-count
+  /// the identical multiset of insertions. The incremental re-freeze skip
+  /// hinges on this.
+  bool ContributionsMatch(
+      const std::vector<std::pair<size_t, Segment>>& contributions) const {
+    if (contributions_.size() != contributions.size()) return false;
+    for (const auto& [seq_index, seg] : contributions) {
+      auto it = position_.find(seq_index);
       if (it == position_.end() ||
-          !(contributions_[it->second].second == segments[i])) {
+          !(contributions_[it->second].second == seg)) {
         return false;
       }
     }
     return true;
   }
 
-  /// Drops all statistics so the PST can be rebuilt from the current
-  /// membership (the per-iteration purification step; see
-  /// CluseqClusterer::RebuildClusterPsts).
-  void ResetPst() {
-    pst_.Clear();
+  /// Drops all statistics and rebuilds the tree from segment
+  /// `contributions[i].second` of each sequence `contributions[i].first` of
+  /// `db`, in order: the tree an empty cluster gets from one AbsorbSegment
+  /// per entry (a sequence listed twice counts once), built in bulk by
+  /// Pst::Build on up to `num_threads` workers. Used by the per-iteration
+  /// purification step (CluseqClusterer::RebuildClusterPsts) and by
+  /// checkpoint resume.
+  void Rebuild(const std::vector<std::pair<size_t, Segment>>& contributions,
+               const SequenceStore& db, size_t num_threads) {
+    // Build replaces the whole tree, so it is not cleared first: that would
+    // only reset storage Build overwrites.
     contributions_.clear();
     position_.clear();
     pst_dirty_ = true;
+    std::vector<std::span<const SymbolId>> segments;
+    segments.reserve(contributions.size());
+    for (const auto& [seq_index, seg] : contributions) {
+      if (!position_.emplace(seq_index, contributions_.size()).second) {
+        continue;
+      }
+      contributions_.emplace_back(seq_index, seg);
+      segments.push_back(
+          db.Symbols(seq_index).subspan(seg.begin, seg.end - seg.begin));
+    }
+    pst_.Build(segments, num_threads);
   }
 
   uint32_t id() const { return id_; }
@@ -130,8 +149,8 @@ class Cluster {
 
   /// Reinstates the cross-iteration state of a cluster when resuming from
   /// a checkpoint: the seed and the membership in its stored order. The
-  /// tree is not stored; the caller rebuilds it by replaying the recorded
-  /// contributions through AbsorbSegment in their recorded order. The
+  /// tree is not stored; the caller rebuilds it with Rebuild from the
+  /// recorded contributions in their recorded order. The
   /// frozen snapshot is a pure function of the tree and the background
   /// model and is recompiled on demand.
   void RestoreForResume(int64_t seed_index, std::vector<size_t> members) {

@@ -94,6 +94,8 @@ void WriteIterationStats(JsonWriter& writer, const IterationStats& stats) {
   writer.KeyValue("pst_pruned_total", uint64_t{stats.pst_pruned_total});
   writer.KeyValue("seed_seconds", stats.seed_seconds);
   writer.KeyValue("rebuild_seconds", stats.rebuild_seconds);
+  writer.KeyValue("resegment_seconds", stats.resegment_seconds);
+  writer.KeyValue("build_seconds", stats.build_seconds);
   writer.KeyValue("freeze_seconds", stats.freeze_seconds);
   writer.KeyValue("assemble_seconds", stats.assemble_seconds);
   writer.KeyValue("join_seconds", stats.join_seconds);
@@ -217,6 +219,8 @@ void WriteRunReportJson(const RunReport& report, std::ostream& out) {
   writer.KeyValue("num_clusters", uint64_t{report.num_clusters});
   writer.KeyValue("num_unclustered", uint64_t{report.num_unclustered});
   writer.KeyValue("iterations", uint64_t{report.total_iterations});
+  writer.KeyValue("stop_reason",
+                  std::string_view(StopReasonName(report.stop_reason)));
   writer.KeyValue("final_log_threshold", report.final_log_threshold);
   writer.KeyValue("total_seconds", report.total_seconds);
   writer.KeyValue("effective_threads", uint64_t{report.effective_threads});

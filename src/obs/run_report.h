@@ -97,6 +97,9 @@ struct RunReport {
   bool resumed_from_checkpoint = false;
   bool interrupted = false;
 
+  /// Why the loop stopped (ClusteringResult::stop_reason).
+  StopReason stop_reason = StopReason::kMaxIterations;
+
   /// External evaluation, filled by callers that have ground-truth labels
   /// (the CLI does when the input carries them).
   bool has_eval = false;

@@ -7,6 +7,7 @@
 #include <queue>
 
 #include "obs/metrics.h"
+#include "util/thread_pool.h"
 
 namespace cluseq {
 
@@ -36,6 +37,20 @@ obs::Counter& PrunedByStrategyCounter(PruneStrategy strategy) {
 constexpr size_t kNodeBytes = 72;
 constexpr size_t kChildEntryBytes = 8;
 constexpr size_t kNextEntryBytes = 16;
+
+// Resizes `v` to `size` elements that the caller overwrites, so elements
+// it keeps are not reset. Storage that is too small is released first, so
+// the old and the new buffer are never both held, and replaced by twice as
+// much, as growth by insertion would.
+template <typename T>
+void ResizeForOverwrite(std::vector<T>& v, size_t size) {
+  if (size > v.capacity()) {
+    const size_t capacity = std::max(size, 2 * v.capacity());
+    std::vector<T>().swap(v);
+    v.reserve(capacity);
+  }
+  v.resize(size);
+}
 
 // Position of the first entry whose symbol is >= `key` in a sorted list.
 template <typename Entry>
@@ -117,6 +132,13 @@ template <typename Entry>
 void Pst::ListPool<Entry>::Clear() {
   slots_.clear();
   for (auto& blocks : free_) blocks.clear();
+}
+
+template <typename Entry>
+std::span<Entry> Pst::ListPool<Entry>::Carve(size_t size) {
+  for (auto& blocks : free_) blocks.clear();
+  ResizeForOverwrite(slots_, size);
+  return slots_;
 }
 
 template <typename Entry>
@@ -215,6 +237,375 @@ void Pst::InsertSequence(std::span<const SymbolId> symbols) {
       approx_bytes_ > options_.max_memory_bytes) {
     PruneToBudget();
   }
+}
+
+namespace {
+
+// Separates the segments in Build's text: no context reaches past it.
+constexpr SymbolId kBoundary = kInvalidSymbol;
+
+// Below this many positions Build runs on the calling thread alone.
+constexpr size_t kMinParallelPositions = size_t{1} << 12;
+
+// Multiset of symbols over a dense alphabet: counts plus the distinct
+// symbols seen, so that a reset costs the number of distinct symbols.
+class SymbolTally {
+ public:
+  explicit SymbolTally(size_t alphabet_size) : count_(alphabet_size, 0) {}
+
+  void Add(SymbolId s) {
+    if (count_[s]++ == 0) distinct_.push_back(s);
+  }
+  uint32_t Count(SymbolId s) const { return count_[s]; }
+  size_t NumDistinct() const { return distinct_.size(); }
+  // The distinct symbols in ascending order.
+  std::span<const SymbolId> Sorted() {
+    std::sort(distinct_.begin(), distinct_.end());
+    return distinct_;
+  }
+  void Reset() {
+    for (SymbolId s : distinct_) count_[s] = 0;
+    distinct_.clear();
+  }
+
+ private:
+  std::vector<uint32_t> count_;
+  std::vector<SymbolId> distinct_;
+};
+
+}  // namespace
+
+// Build's state. The text holds every segment after a kBoundary, so the
+// context symbol of position p at depth d is text[p - d], and a context
+// ends at the first boundary or at max_depth. A node's *range* is a run of
+// `order_` holding the positions whose context reaches the node. Pass 1
+// partitions each range stably by the next context symbol into the
+// children's ranges, so when it reaches a range the positions are still in
+// insertion order and the first is the one at which the insertion loop
+// creates the node. Pass 2 finds the same ranges as runs of equal keys;
+// partitioning has moved the creator there, but it is still the smallest
+// position.
+class Pst::BulkBuilder {
+ public:
+  BulkBuilder(Pst* pst, std::vector<SymbolId> text)
+      : pst_(*pst),
+        depth_(pst->options_.max_depth),
+        text_(std::move(text)),
+        ids_(text_.size(), 0) {}
+
+  void Run(size_t num_threads) {
+    SplitRoot();
+    const size_t threads =
+        num_positions_ < kMinParallelPositions ? 1 : num_threads;
+    const auto weight = [&](size_t i) -> uint64_t {
+      return subtrees_[i].hi - subtrees_[i].lo;
+    };
+    ParallelForWeighted(subtrees_.size(), threads, weight,
+                        [&](size_t i) { Partition(&subtrees_[i]); });
+    PlaceRoot(AssignIds());
+    ParallelForWeighted(subtrees_.size(), threads, weight,
+                        [&](size_t i) { Emit(i); });
+  }
+
+  uint64_t num_positions() const { return num_positions_; }
+
+ private:
+  // A depth-1 node: its range, and its share of the list pools.
+  struct Subtree {
+    SymbolId symbol = 0;
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+    size_t child_slots = 0;  // Sized by pass 1...
+    size_t next_slots = 0;
+    size_t next_entries = 0;
+    size_t child_at = 0;  // ...and placed by PlaceRoot.
+    size_t next_at = 0;
+  };
+  struct Range {
+    uint32_t depth;
+    uint32_t lo;
+    uint32_t hi;
+    // Pass 2: the parent, and the slot of its children list that names
+    // this node.
+    PstNodeId parent = kNoPstNode;
+    size_t slot = 0;
+  };
+
+  SymbolId Key(uint32_t p, uint32_t depth) const {
+    return text_[p - depth - 1];
+  }
+
+  // The root counts every position. Its children group the positions that
+  // have a context symbol by that symbol, stably.
+  void SplitRoot() {
+    const size_t alphabet = pst_.alphabet_size_;
+    root_next_.assign(alphabet, 0);
+    std::vector<uint32_t> start(alphabet + 1, 0);
+    for (uint32_t p = 1; p < text_.size(); ++p) {
+      if (text_[p] == kBoundary) continue;
+      ++num_positions_;
+      ++root_next_[text_[p]];
+      if (text_[p - 1] != kBoundary) ++start[text_[p - 1] + 1];
+    }
+    for (size_t s = 0; s < alphabet; ++s) {
+      if (start[s + 1] > 0) {
+        subtrees_.push_back({.symbol = static_cast<SymbolId>(s),
+                             .lo = start[s],
+                             .hi = start[s] + start[s + 1]});
+      }
+      start[s + 1] += start[s];
+    }
+    order_.resize(start[alphabet]);
+    scratch_.resize(order_.size());
+    for (uint32_t p = 1; p < text_.size(); ++p) {
+      if (text_[p] != kBoundary && text_[p - 1] != kBoundary) {
+        order_[start[text_[p - 1]]++] = p;
+      }
+    }
+  }
+
+  // Pass 1 over one subtree: partitions its ranges down to single
+  // positions, counts the nodes each position creates into ids_, and sizes
+  // the subtree's list blocks.
+  void Partition(Subtree* subtree) {
+    SymbolTally next(pst_.alphabet_size_);
+    SymbolTally keys(pst_.alphabet_size_);
+    std::vector<uint32_t> cursor(pst_.alphabet_size_);
+    std::vector<Range> stack = {{1, subtree->lo, subtree->hi}};
+    while (!stack.empty()) {
+      const Range r = stack.back();
+      stack.pop_back();
+      const uint32_t first = order_[r.lo];
+      ++ids_[first];
+      if (r.hi - r.lo == 1) {
+        // A unary chain down to where the context ends.
+        size_t below = 0;
+        while (r.depth + below < depth_ &&
+               Key(first, r.depth + static_cast<uint32_t>(below)) !=
+                   kBoundary) {
+          ++below;
+        }
+        ids_[first] += static_cast<PstNodeId>(below);
+        subtree->child_slots += below;
+        subtree->next_slots += below + 1;
+        subtree->next_entries += below + 1;
+        continue;
+      }
+      const bool leaf = r.depth >= depth_;
+      uint32_t ended = 0;
+      for (uint32_t i = r.lo; i < r.hi; ++i) {
+        const uint32_t p = order_[i];
+        next.Add(text_[p]);
+        if (leaf) continue;
+        const SymbolId key = Key(p, r.depth);
+        if (key == kBoundary) {
+          ++ended;
+        } else {
+          keys.Add(key);
+        }
+      }
+      subtree->next_slots += std::bit_ceil(next.NumDistinct());
+      subtree->next_entries += next.NumDistinct();
+      next.Reset();
+      if (keys.NumDistinct() == 0) continue;
+      subtree->child_slots += std::bit_ceil(keys.NumDistinct());
+      if (keys.NumDistinct() == 1 && ended == 0) {
+        stack.push_back({r.depth + 1, r.lo, r.hi});
+        keys.Reset();
+        continue;
+      }
+      // Ended positions first, then one run per key in ascending order.
+      uint32_t at = r.lo + ended;
+      for (SymbolId key : keys.Sorted()) {
+        cursor[key] = at;
+        stack.push_back({r.depth + 1, at, at + keys.Count(key)});
+        at += keys.Count(key);
+      }
+      keys.Reset();
+      uint32_t ended_at = r.lo;
+      for (uint32_t i = r.lo; i < r.hi; ++i) {
+        const uint32_t p = order_[i];
+        const SymbolId key = Key(p, r.depth);
+        scratch_[key == kBoundary ? ended_at++ : cursor[key]++] = p;
+      }
+      std::copy(scratch_.begin() + r.lo, scratch_.begin() + r.hi,
+                order_.begin() + r.lo);
+    }
+  }
+
+  // Turns the created-node counts into each position's first node id (the
+  // loop numbers nodes in the order positions create them) and returns the
+  // node count. Pass 2 then takes a position's ids in turn.
+  size_t AssignIds() {
+    PstNodeId next_id = kPstRoot + 1;
+    for (PstNodeId& id : ids_) {
+      const PstNodeId created = id;
+      id = next_id;
+      next_id += created;
+    }
+    return next_id;
+  }
+
+  // Sizes the arena and the pools, writes the root, and gives each subtree
+  // its block range in both pools.
+  void PlaceRoot(size_t num_nodes) {
+    Pst& pst = pst_;
+    ResizeForOverwrite(pst.nodes_, num_nodes);
+    pst.free_list_.clear();
+    size_t root_next = 0;
+    for (uint64_t n : root_next_) root_next += n > 0 ? 1 : 0;
+    size_t child_total = std::bit_ceil(subtrees_.size());
+    size_t next_total = std::bit_ceil(root_next);
+    size_t next_entries = root_next;
+    if (subtrees_.empty()) child_total = 0;
+    if (root_next == 0) next_total = 0;
+    for (Subtree& subtree : subtrees_) {
+      subtree.child_at = child_total;
+      subtree.next_at = next_total;
+      child_total += subtree.child_slots;
+      next_total += subtree.next_slots;
+      next_entries += subtree.next_entries;
+    }
+    children_ = pst.children_.Carve(child_total);
+    next_ = pst.next_.Carve(next_total);
+
+    Node& root = pst.nodes_[kPstRoot];
+    root = Node();
+    root.count = num_positions_;
+    root.next = {0, static_cast<uint32_t>(root_next)};
+    size_t at = 0;
+    for (size_t s = 0; s < root_next_.size(); ++s) {
+      if (root_next_[s] > 0) {
+        next_[at++] = {static_cast<SymbolId>(s), root_next_[s]};
+      }
+    }
+    root.children = {0, static_cast<uint32_t>(subtrees_.size())};
+    pst.live_nodes_ = num_nodes;
+    pst.approx_bytes_ = num_nodes * kNodeBytes +
+                        (num_nodes - 1) * kChildEntryBytes +
+                        next_entries * kNextEntryBytes;
+  }
+
+  // Gives the node of range `r` created at position `creator` its id, and
+  // writes it into its parent's children list.
+  Node& Place(const Range& r, uint32_t creator, PstNodeId* id) {
+    *id = ids_[creator]++;
+    const SymbolId edge = text_[creator - r.depth];
+    children_[r.slot] = {edge, *id};
+    Node& node = pst_.nodes_[*id];
+    node = Node();
+    node.parent = r.parent;
+    node.edge_symbol = edge;
+    node.depth = r.depth;
+    node.count = r.hi - r.lo;
+    return node;
+  }
+
+  // Pass 2 over one subtree (the subtree-th child of the root): every range
+  // is already partitioned, so each child's range is a run of equal keys.
+  // Writes the nodes and lists into the subtree's blocks.
+  void Emit(size_t index) {
+    const Subtree& subtree = subtrees_[index];
+    SymbolTally next(pst_.alphabet_size_);
+    size_t child_at = subtree.child_at;
+    size_t next_at = subtree.next_at;
+    std::vector<Range> stack = {
+        {1, subtree.lo, subtree.hi, kPstRoot, index}};
+    while (!stack.empty()) {
+      Range r = stack.back();
+      stack.pop_back();
+      PstNodeId id;
+      if (r.hi - r.lo == 1) {
+        // A unary chain: one count and one next symbol per node.
+        const uint32_t p = order_[r.lo];
+        for (;;) {
+          Node& node = Place(r, p, &id);
+          node.next = {static_cast<uint32_t>(next_at), 1};
+          next_[next_at++] = {text_[p], 1};
+          if (r.depth >= depth_ || Key(p, r.depth) == kBoundary) break;
+          node.children = {static_cast<uint32_t>(child_at), 1};
+          r = {r.depth + 1, r.lo, r.hi, id, child_at++};
+        }
+        continue;
+      }
+      uint32_t creator = order_[r.lo];
+      for (uint32_t i = r.lo; i < r.hi; ++i) {
+        next.Add(text_[order_[i]]);
+        creator = std::min(creator, order_[i]);
+      }
+      Node& node = Place(r, creator, &id);
+      const auto symbols = next.Sorted();
+      node.next = {static_cast<uint32_t>(next_at),
+                   static_cast<uint32_t>(symbols.size())};
+      for (SymbolId s : symbols) next_[next_at++] = {s, next.Count(s)};
+      next_at += std::bit_ceil(symbols.size()) - symbols.size();
+      next.Reset();
+      if (r.depth >= depth_) continue;
+      const size_t first_child = child_at;
+      for (uint32_t i = r.lo; i < r.hi;) {
+        const SymbolId key = Key(order_[i], r.depth);
+        uint32_t end = i + 1;
+        while (end < r.hi && Key(order_[end], r.depth) == key) ++end;
+        if (key != kBoundary) {
+          stack.push_back({r.depth + 1, i, end, id, child_at++});
+        }
+        i = end;
+      }
+      const size_t num_children = child_at - first_child;
+      if (num_children == 0) continue;
+      node.children = {static_cast<uint32_t>(first_child),
+                       static_cast<uint32_t>(num_children)};
+      child_at += std::bit_ceil(num_children) - num_children;
+    }
+  }
+
+  Pst& pst_;
+  const size_t depth_;
+  const std::vector<SymbolId> text_;
+  // Pass 1: nodes each position creates; then the id its next one gets.
+  std::vector<PstNodeId> ids_;
+  std::vector<uint32_t> order_;    // Positions, partitioned in place.
+  std::vector<uint32_t> scratch_;  // Partition buffer, parallel to order_.
+  std::vector<uint64_t> root_next_;
+  std::vector<Subtree> subtrees_;
+  uint64_t num_positions_ = 0;
+  std::span<ChildEntry> children_;
+  std::span<NextEntry> next_;
+};
+
+void Pst::Build(std::span<const std::span<const SymbolId>> segments,
+                size_t num_threads) {
+  // Positions are addressed by uint32_t offsets into one text, and the
+  // dense tallies need every symbol inside the alphabet; anything else, and
+  // any memory budget (whose pruning depends on insertion order), takes
+  // the insertion loop.
+  size_t text_size = 0;
+  bool bulk = options_.max_memory_bytes == 0;
+  for (const auto segment : segments) {
+    text_size += segment.size() + 1;
+    bulk = bulk && std::all_of(segment.begin(), segment.end(), [&](SymbolId s) {
+             return s < alphabet_size_;
+           });
+  }
+  if (!bulk || text_size >= std::numeric_limits<uint32_t>::max()) {
+    Clear();
+    for (const auto segment : segments) InsertSequence(segment);
+    return;
+  }
+  std::vector<SymbolId> text;
+  text.reserve(text_size);
+  for (const auto segment : segments) {
+    text.push_back(kBoundary);
+    text.insert(text.end(), segment.begin(), segment.end());
+  }
+  BulkBuilder builder(this, std::move(text));
+  builder.Run(num_threads);
+  static obs::Counter& insert_symbols =
+      obs::MetricsRegistry::Get().GetCounter("pst.insert_symbols");
+  static obs::Counter& created =
+      obs::MetricsRegistry::Get().GetCounter("pst.nodes_created");
+  insert_symbols.Add(builder.num_positions());
+  created.Add(live_nodes_ - 1);
 }
 
 PstNodeId Pst::PredictionNode(std::span<const SymbolId> context) const {

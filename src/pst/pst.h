@@ -12,10 +12,26 @@
 // The root's count is the total number of symbols inserted (the paper's
 // "overall size of the sequence cluster").
 //
-// Construction inserts every position of a sequence with all its contexts up
+// Construction counts every position of a sequence with all its contexts up
 // to a bounded depth L (`max_depth`), which is exactly the short-memory
 // premise of the paper: no query ever looks at more than the last L symbols.
-// Insertion of a sequence of length l costs O(l · L).
+// There are two construction paths, and both produce the same tree:
+//   * InsertSequence adds one sequence to the tree as it stands, walking
+//     each position's context from the root (O(l · L) for length l). The
+//     join's incremental absorbs and trained-once trees use it.
+//   * Build replaces the tree with what Clear() followed by InsertSequence
+//     of each segment in order would produce, down to the node ids, list
+//     order, NumNodes() and ApproxMemoryBytes(). Instead of walking
+//     pointers it stably partitions the positions by context symbol, one
+//     depth at a time, one task per root subtree (a position's last context
+//     symbol). The loop creates a node at the first position whose context
+//     reaches it, and under a stable partition that is the first position
+//     of the node's range, so a first pass counts the nodes each position
+//     creates, a prefix sum turns the counts into each position's first id,
+//     and a second pass writes every node and list in place. Scratch memory
+//     is O(positions); the result does not depend on the thread count. With
+//     a memory budget Build runs the insertion loop, because §5.1 pruning
+//     depends on insertion order.
 //
 // Querying P(s_i | s_1…s_{i-1}) walks from the root along s_{i-1}, s_{i-2},…
 // while the next node exists and is *significant* (count ≥ c); the node
@@ -133,6 +149,15 @@ class Pst {
     InsertSequence(std::span<const SymbolId>(seq.symbols()));
   }
 
+  /// Replaces the tree's contents with exactly what Clear() followed by
+  /// InsertSequence(s) for each of `segments`, in order, produces: the same
+  /// node ids, parents, edges, depths, counts, children and next-symbol
+  /// lists, NumNodes(), ApproxMemoryBytes() and metrics counters. Runs on
+  /// up to `num_threads` workers (0 = all); the result does not depend on
+  /// the count.
+  void Build(std::span<const std::span<const SymbolId>> segments,
+             size_t num_threads);
+
   /// Finds the prediction node of `context` (the node whose label is the
   /// longest significant suffix of the context). Always succeeds; the root
   /// is the ultimate fallback.
@@ -247,6 +272,10 @@ class Pst {
     void Release(ListRef& list);
     // Drops every block, keeping capacity.
     void Clear();
+    // Drops every block, keeping capacity, and returns `size` contiguous
+    // slots, with stale contents, for a bulk build to carve into blocks and
+    // fill itself.
+    std::span<Entry> Carve(size_t size);
     size_t CapacityBytes() const;
 
    private:
@@ -266,6 +295,9 @@ class Pst {
     ListRef children;  // In children_, sorted by symbol.
     ListRef next;      // In next_, sorted by symbol.
   };
+
+  // Build's two partition passes (pst.cc).
+  class BulkBuilder;
 
   std::span<const NextEntry> Next(const Node& node) const {
     return next_.View(node.next);

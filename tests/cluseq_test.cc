@@ -8,6 +8,7 @@
 
 #include "eval/metrics.h"
 #include "synth/dataset.h"
+#include "util/cancellation.h"
 
 namespace cluseq {
 namespace {
@@ -69,6 +70,38 @@ TEST(CluseqTest, EmptyDatabase) {
   ASSERT_TRUE(RunCluseq(db, FastOptions(), &result).ok());
   EXPECT_EQ(result.num_clusters(), 0u);
   EXPECT_EQ(result.iterations, 0u);
+}
+
+TEST(CluseqStopReasonTest, IterationCap) {
+  CluseqOptions o = FastOptions();
+  o.max_iterations = 1;
+  ClusteringResult result;
+  ASSERT_TRUE(RunCluseq(PlantedDb(2, 20, 0.0, 11), o, &result).ok());
+  EXPECT_EQ(result.iterations, 1u);
+  EXPECT_EQ(result.stop_reason, StopReason::kMaxIterations);
+  EXPECT_STREQ(StopReasonName(result.stop_reason), "max_iterations");
+}
+
+TEST(CluseqStopReasonTest, FixedPoint) {
+  // Two well-separated planted clusters settle well before the cap.
+  ClusteringResult result;
+  ASSERT_TRUE(
+      RunCluseq(PlantedDb(2, 20, 0.0, 11), FastOptions(), &result).ok());
+  EXPECT_LT(result.iterations, FastOptions().max_iterations);
+  EXPECT_EQ(result.stop_reason, StopReason::kFixedPoint);
+  EXPECT_STREQ(StopReasonName(result.stop_reason), "fixed_point");
+}
+
+TEST(CluseqStopReasonTest, Cancelled) {
+  CancellationToken token;
+  token.RequestCancel();
+  CluseqOptions o = FastOptions();
+  o.cancellation = &token;
+  ClusteringResult result;
+  ASSERT_TRUE(RunCluseq(PlantedDb(2, 20, 0.0, 11), o, &result).ok());
+  EXPECT_TRUE(result.interrupted);
+  EXPECT_EQ(result.stop_reason, StopReason::kCancelled);
+  EXPECT_STREQ(StopReasonName(result.stop_reason), "cancelled");
 }
 
 TEST(CluseqTest, InvalidOptionsRejected) {

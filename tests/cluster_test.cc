@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "pst_digest.h"
+#include "seq/sequence_database.h"
+
 namespace cluseq {
 namespace {
 
@@ -64,6 +67,34 @@ TEST(ClusterTest, ContributionsKeepInsertionOrder) {
   EXPECT_EQ(replay.pst().total_symbols(), c.pst().total_symbols());
 }
 
+TEST(ClusterTest, RebuildMatchesResetThenAbsorb) {
+  SequenceDatabase db(Alphabet::Synthetic(3));
+  db.Add(Sequence({0, 1, 2, 0, 1, 2, 2, 1}));
+  db.Add(Sequence({2, 2, 1, 0}));
+  db.Add(Sequence({1, 0, 1, 0, 2}));
+  using Entry = std::pair<size_t, Cluster::Segment>;
+  // Sequence 2 is listed twice: like AbsorbSegment, only its first segment
+  // counts.
+  const std::vector<Entry> contributions = {
+      {2, {0, 5}}, {0, {1, 7}}, {2, {0, 3}}, {1, {0, 4}}};
+  Cluster absorbed(0, 3, Opts());
+  for (const auto& [seq, seg] : contributions) {
+    absorbed.AbsorbSegment(seq, db.Symbols(seq), seg.begin, seg.end);
+  }
+  Cluster rebuilt(1, 3, Opts());
+  rebuilt.Seed(db.Symbols(1), 1);
+  rebuilt.SetFrozen(nullptr);
+  ASSERT_FALSE(rebuilt.pst_dirty());
+  rebuilt.Rebuild(contributions, db, 2);
+  EXPECT_TRUE(rebuilt.pst_dirty());
+  EXPECT_EQ(rebuilt.contributions(),
+            (std::vector<Entry>{{2, {0, 5}}, {0, {1, 7}}, {1, {0, 4}}}));
+  EXPECT_EQ(rebuilt.contributions(), absorbed.contributions());
+  EXPECT_TRUE(rebuilt.HasAbsorbed(0));
+  EXPECT_EQ(pst_test::CheckedHash(rebuilt.pst()),
+            pst_test::CheckedHash(absorbed.pst()));
+}
+
 TEST(ClusterTest, MembershipBookkeeping) {
   Cluster c(0, 3, Opts());
   c.AddMember(1);
@@ -76,12 +107,12 @@ TEST(ClusterTest, MembershipBookkeeping) {
   EXPECT_EQ(c.size(), 3u);
 }
 
-TEST(ClusterTest, ResetPstClearsStatisticsAndAbsorptions) {
+TEST(ClusterTest, RebuildFromNothingClearsStatisticsAndAbsorptions) {
   Cluster c(0, 3, Opts());
   Sequence seq({0, 1, 2, 0, 1, 2});
   c.Seed(seq, 0);
   ASSERT_GT(c.pst().NumNodes(), 1u);
-  c.ResetPst();
+  c.Rebuild({}, SequenceDatabase(Alphabet::Synthetic(3)), 1);
   EXPECT_EQ(c.pst().NumNodes(), 1u);
   EXPECT_EQ(c.pst().total_symbols(), 0u);
   EXPECT_FALSE(c.HasAbsorbed(0));

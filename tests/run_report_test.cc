@@ -70,6 +70,8 @@ TEST(RunReportTest, RoundTripMatchesIterationStats) {
             static_cast<double>(result.num_unclustered));
   EXPECT_EQ(summary->Find("iterations")->number,
             static_cast<double>(result.iterations));
+  EXPECT_EQ(summary->Find("stop_reason")->string_value,
+            StopReasonName(result.stop_reason));
 
   // Prefilter block: round-trips the report fields exactly.
   const obs::JsonValue* prefilter = summary->Find("prefilter");
@@ -120,6 +122,12 @@ TEST(RunReportTest, RoundTripMatchesIterationStats) {
                      expect.seed_seconds);
     EXPECT_DOUBLE_EQ(stats->Find("rebuild_seconds")->number,
                      expect.rebuild_seconds);
+    EXPECT_DOUBLE_EQ(stats->Find("resegment_seconds")->number,
+                     expect.resegment_seconds);
+    EXPECT_DOUBLE_EQ(stats->Find("build_seconds")->number,
+                     expect.build_seconds);
+    EXPECT_DOUBLE_EQ(expect.rebuild_seconds,
+                     expect.resegment_seconds + expect.build_seconds);
     EXPECT_DOUBLE_EQ(stats->Find("freeze_seconds")->number,
                      expect.freeze_seconds);
     EXPECT_DOUBLE_EQ(stats->Find("assemble_seconds")->number,

@@ -409,6 +409,7 @@ int RunCluster(CommonFlags& flags) {
               "final log t: %.3f\n",
               result.num_clusters(), result.num_unclustered,
               result.iterations, result.final_log_threshold);
+  std::printf("stopped: %s\n", StopReasonName(result.stop_reason));
   for (size_t c = 0; c < result.clusters.size(); ++c) {
     std::printf("  cluster %zu: %zu members\n", c,
                 result.clusters[c].size());
