@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <unordered_map>
 
 #if defined(__GLIBC__)
@@ -29,6 +30,33 @@ namespace cluseq {
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+// Runs `work(ci, threads)` once for each cluster index ci in `clusters`,
+// where symbols[ci] is the number of symbols its tree work counts. A
+// cluster holding at least a worker's share of them runs alone on every
+// worker, so one large cluster is not left to a single thread; the others
+// run side by side, one worker each. Without `alone` (a memory budget,
+// under which the bulk tree paths run the insertion loop on one thread)
+// every cluster runs side by side.
+template <typename Work>
+void ScheduleClusterWork(std::span<const size_t> clusters,
+                         std::span<const uint64_t> symbols, size_t threads,
+                         bool alone, Work work) {
+  uint64_t total = 0;
+  for (size_t ci : clusters) total += symbols[ci];
+  std::vector<size_t> shared;
+  for (size_t ci : clusters) {
+    if (alone && threads > 1 && symbols[ci] * threads >= total) {
+      work(ci, threads);
+    } else {
+      shared.push_back(ci);
+    }
+  }
+  ParallelForWeighted(
+      shared.size(), threads,
+      [&](size_t i) -> uint64_t { return symbols[shared[i]]; },
+      [&](size_t i) { work(shared[i], 1); });
+}
 
 uint64_t HashMembers(const std::vector<size_t>& members) {
   // FNV-1a over the (already sorted) member indices.
@@ -303,16 +331,10 @@ void CluseqClusterer::RebuildClusterPsts() {
                                   (freeze_seconds_this_iter_ - freeze_before);
   // Build counts the members' segments in member order, so each tree (and
   // any pruning under a memory budget) is the serial insertion's, bit for
-  // bit, on any number of workers. A cluster holding at least a worker's
-  // share of the symbols to count is built alone on every worker, so one
-  // large cluster is not left to a single thread; the others are built
-  // side by side, one worker each. Under a memory budget Build runs the
-  // insertion loop on one thread, so then every cluster is built side by
-  // side.
+  // bit, on any number of workers.
   Stopwatch build_timer;
   std::vector<size_t> rebuilt;
   std::vector<uint64_t> symbols(kc, 0);
-  uint64_t total_symbols = 0;
   for (size_t ci = 0; ci < kc; ++ci) {
     if (contributions[ci].empty()) continue;
     if (can_skip && clusters_[ci].ContributionsMatch(contributions[ci])) {
@@ -321,30 +343,20 @@ void CluseqClusterer::RebuildClusterPsts() {
     for (const auto& [s, segment] : contributions[ci]) {
       symbols[ci] += segment.end - segment.begin;
     }
-    total_symbols += symbols[ci];
     rebuilt.push_back(ci);
   }
-  const size_t threads = options_.num_threads;
-  std::vector<size_t> shared;
-  for (size_t ci : rebuilt) {
-    if (can_skip && threads > 1 && symbols[ci] * threads >= total_symbols) {
-      clusters_[ci].Rebuild(contributions[ci], db_, threads);
-    } else {
-      shared.push_back(ci);
-    }
-  }
-  ParallelForWeighted(
-      shared.size(), threads,
-      [&](size_t i) -> uint64_t { return symbols[shared[i]]; },
-      [&](size_t i) {
-        clusters_[shared[i]].Rebuild(contributions[shared[i]], db_, 1);
-      });
+  ScheduleClusterWork(rebuilt, symbols, options_.num_threads,
+                      options_.pst.max_memory_bytes == 0,
+                      [&](size_t ci, size_t threads) {
+                        clusters_[ci].Rebuild(contributions[ci], db_, threads);
+                      });
 #if defined(__GLIBC__)
-  // glibc keeps freed heap memory in its arenas. The builds' scratch and
-  // the trees regrown by workers leave free pages behind that otherwise
-  // accumulate over the iterations (measured on protein-tuned: peak RSS
-  // ~13% above the insertion loop's, with the same live memory). Hand
-  // them back once per rebuild; it takes about 1.5 ms.
+  // glibc keeps freed heap memory in its arenas. The bulk tree paths'
+  // scratch and the trees regrown by workers leave free pages behind that
+  // otherwise accumulate over the iterations (measured on protein-tuned:
+  // peak RSS ~13% above the insertion loop's, with the same live memory).
+  // Hand them back once per iteration, here rather than after the join
+  // (perfbench peak RSS medians alike); it takes about 1.5 ms.
   malloc_trim(0);
 #endif
   build_seconds_this_iter_ += build_timer.ElapsedSeconds();
@@ -479,7 +491,7 @@ void CluseqClusterer::Recluster() {
     // written slot (the all_log_sims_ position, best_log_sim_[s],
     // joined_[s]) is owned by exactly one task, and joined_[s] is built in
     // ascending ci — the order the serial sweep produced. Pass 2 is
-    // cluster-sharded: each task owns a disjoint cluster and applies its
+    // cluster-sharded: each task owns a disjoint cluster and collects its
     // joins in ascending s, reproducing exactly that cluster's subsequence
     // of the serial sweep, so member order and PST insertion order (which
     // pruning under a memory budget depends on) are thread-count-invariant.
@@ -494,7 +506,12 @@ void CluseqClusterer::Recluster() {
         }
       }
     });
+    // Each cluster's newcomers (sequences that have not contributed to it
+    // yet) are then absorbed in one bulk insert, in that same order.
     std::vector<size_t> joins_per_cluster(kc, 0);
+    std::vector<std::vector<std::pair<size_t, Cluster::Segment>>> newcomers(
+        kc);
+    std::vector<uint64_t> new_symbols(kc, 0);
     ParallelFor(kc, options_.num_threads, [&](size_t ci) {
       Cluster& cluster = clusters_[ci];
       for (size_t s = 0; s < n; ++s) {
@@ -502,11 +519,25 @@ void CluseqClusterer::Recluster() {
         if (sim.log_sim >= log_t_ && std::isfinite(sim.log_sim)) {
           ++joins_per_cluster[ci];
           cluster.AddMember(s);
-          cluster.AbsorbSegment(s, db_.Symbols(s), sim.best_begin,
-                                sim.best_end);
+          if (!cluster.HasAbsorbed(s)) {
+            newcomers[ci].push_back({s, {sim.best_begin, sim.best_end}});
+            new_symbols[ci] += sim.best_end - sim.best_begin;
+          }
         }
       }
     });
+    Stopwatch absorb_timer;
+    std::vector<size_t> touched;
+    for (size_t ci = 0; ci < kc; ++ci) {
+      if (!newcomers[ci].empty()) touched.push_back(ci);
+    }
+    ScheduleClusterWork(touched, new_symbols, options_.num_threads,
+                        options_.pst.max_memory_bytes == 0,
+                        [&](size_t ci, size_t threads) {
+                          clusters_[ci].AbsorbSegments(newcomers[ci], db_,
+                                                       threads);
+                        });
+    absorb_seconds_this_iter_ += absorb_timer.ElapsedSeconds();
     size_t joins = 0;
     for (size_t c : joins_per_cluster) joins += c;
     join_seconds_this_iter_ += join_timer.ElapsedSeconds();
@@ -960,6 +991,7 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     refrozen_this_iter_ = 0;
     scan_seconds_this_iter_ = 0.0;
     join_seconds_this_iter_ = 0.0;
+    absorb_seconds_this_iter_ = 0.0;
     freeze_seconds_this_iter_ = 0.0;
     assemble_seconds_this_iter_ = 0.0;
     resegment_seconds_this_iter_ = 0.0;
@@ -1060,6 +1092,7 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     stats.freeze_seconds = freeze_seconds_this_iter_;
     stats.assemble_seconds = assemble_seconds_this_iter_;
     stats.join_seconds = join_seconds_this_iter_;
+    stats.absorb_seconds = absorb_seconds_this_iter_;
     stats.consolidate_seconds = consolidate_seconds;
     stats.prefilter_l15_pruned = prefilter_l15_this_iter_;
     stats.phase_perf = phase_perf_.TakePhases();
@@ -1118,8 +1151,9 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
                         << stats.build_seconds << "s) / freeze "
                         << stats.freeze_seconds << "s / assemble "
                         << stats.assemble_seconds << "s / join "
-                        << stats.join_seconds
-                        << "s / consolidate " << stats.consolidate_seconds
+                        << stats.join_seconds << "s (absorb "
+                        << stats.absorb_seconds << "s) / consolidate "
+                        << stats.consolidate_seconds
                         << "s, prefilter skip "
                         << 100.0 * stats.prefilter_skip_ratio << "% ("
                         << stats.prefilter_l15_pruned << " l15 pruned)";

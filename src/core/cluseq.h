@@ -255,6 +255,9 @@ struct IterationStats {
   /// Wall time of the join/absorb apply phase (0 in §4.2 within-scan mode,
   /// where joins are applied inside the scan itself).
   double join_seconds = 0.0;
+  /// Nested leaf of join_seconds: the newcomers' segments inserted into
+  /// their clusters' trees in bulk (Cluster::AbsorbSegments).
+  double absorb_seconds = 0.0;
   /// Wall time of consolidation + membership view rebuild.
   double consolidate_seconds = 0.0;
   /// Fraction of the n × k sequence-cluster pairs the prefilter skipped
@@ -401,6 +404,7 @@ class CluseqClusterer {
   size_t refrozen_this_iter_ = 0;
   double scan_seconds_this_iter_ = 0.0;
   double join_seconds_this_iter_ = 0.0;
+  double absorb_seconds_this_iter_ = 0.0;
   double freeze_seconds_this_iter_ = 0.0;
   double assemble_seconds_this_iter_ = 0.0;
   double resegment_seconds_this_iter_ = 0.0;

@@ -59,6 +59,16 @@ class Cluster {
     AbsorbSegment(seq_index, segment, 0, segment.size());
   }
 
+  /// AbsorbSegment for each (sequence, segment of that sequence in `db`)
+  /// of `batch`, in order, with one Pst::InsertSequences on up to
+  /// `num_threads` workers: the same tree, node ids included.
+  void AbsorbSegments(const std::vector<std::pair<size_t, Segment>>& batch,
+                      const SequenceStore& db, size_t num_threads) {
+    const auto segments = Record(batch, db);
+    if (!segments.empty()) pst_dirty_ = true;
+    pst_.InsertSequences(segments, num_threads);
+  }
+
   /// Whether the sequence has already contributed to this cluster's PST.
   bool HasAbsorbed(size_t seq_index) const {
     return position_.contains(seq_index);
@@ -66,7 +76,7 @@ class Cluster {
 
   /// Which segment of each contributing sequence the tree currently counts,
   /// in the order the segments were inserted. Every mutation of the tree
-  /// goes through Seed, AbsorbSegment or Rebuild, so rebuilding
+  /// goes through Seed, AbsorbSegment(s) or Rebuild, so rebuilding
   /// from these segments in this order gives the identical tree — node ids
   /// and §5.1 pruning included. Checkpoints store this table instead of
   /// the tree.
@@ -106,17 +116,7 @@ class Cluster {
     contributions_.clear();
     position_.clear();
     pst_dirty_ = true;
-    std::vector<std::span<const SymbolId>> segments;
-    segments.reserve(contributions.size());
-    for (const auto& [seq_index, seg] : contributions) {
-      if (!position_.emplace(seq_index, contributions_.size()).second) {
-        continue;
-      }
-      contributions_.emplace_back(seq_index, seg);
-      segments.push_back(
-          db.Symbols(seq_index).subspan(seg.begin, seg.end - seg.begin));
-    }
-    pst_.Build(segments, num_threads);
+    pst_.Build(Record(contributions, db), num_threads);
   }
 
   uint32_t id() const { return id_; }
@@ -159,6 +159,25 @@ class Cluster {
   }
 
  private:
+  /// Records each (sequence, segment) of `batch` whose sequence has not
+  /// contributed yet, and returns those segments of `db`'s sequences, in
+  /// order, for the tree to count.
+  std::vector<std::span<const SymbolId>> Record(
+      const std::vector<std::pair<size_t, Segment>>& batch,
+      const SequenceStore& db) {
+    std::vector<std::span<const SymbolId>> segments;
+    segments.reserve(batch.size());
+    for (const auto& [seq_index, seg] : batch) {
+      if (!position_.emplace(seq_index, contributions_.size()).second) {
+        continue;
+      }
+      contributions_.emplace_back(seq_index, seg);
+      segments.push_back(
+          db.Symbols(seq_index).subspan(seg.begin, seg.end - seg.begin));
+    }
+    return segments;
+  }
+
   /// Inserts segment `seg` of `full` and records it as seq_index's
   /// contribution.
   void Count(size_t seq_index, std::span<const SymbolId> full, Segment seg) {

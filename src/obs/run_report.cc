@@ -99,6 +99,7 @@ void WriteIterationStats(JsonWriter& writer, const IterationStats& stats) {
   writer.KeyValue("freeze_seconds", stats.freeze_seconds);
   writer.KeyValue("assemble_seconds", stats.assemble_seconds);
   writer.KeyValue("join_seconds", stats.join_seconds);
+  writer.KeyValue("absorb_seconds", stats.absorb_seconds);
   writer.KeyValue("consolidate_seconds", stats.consolidate_seconds);
   writer.KeyValue("prefilter_skip_ratio", stats.prefilter_skip_ratio);
   writer.KeyValue("prefilter_l15_pruned",

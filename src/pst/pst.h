@@ -16,22 +16,29 @@
 // to a bounded depth L (`max_depth`), which is exactly the short-memory
 // premise of the paper: no query ever looks at more than the last L symbols.
 // There are two construction paths, and both produce the same tree:
-//   * InsertSequence adds one sequence to the tree as it stands, walking
-//     each position's context from the root (O(l · L) for length l). The
-//     join's incremental absorbs and trained-once trees use it.
-//   * Build replaces the tree with what Clear() followed by InsertSequence
-//     of each segment in order would produce, down to the node ids, list
-//     order, NumNodes() and ApproxMemoryBytes(). Instead of walking
-//     pointers it stably partitions the positions by context symbol, one
-//     depth at a time, one task per root subtree (a position's last context
-//     symbol). The loop creates a node at the first position whose context
-//     reaches it, and under a stable partition that is the first position
-//     of the node's range, so a first pass counts the nodes each position
-//     creates, a prefix sum turns the counts into each position's first id,
-//     and a second pass writes every node and list in place. Scratch memory
-//     is O(positions); the result does not depend on the thread count. With
-//     a memory budget Build runs the insertion loop, because §5.1 pruning
-//     depends on insertion order.
+//   * InsertSequences (and Build, which is Clear() followed by it, reusing
+//     the old storage) adds a batch of segments in bulk. The result is
+//     exactly what InsertSequence of each segment in order would give,
+//     down to the node ids, list order, NumNodes() and ApproxMemoryBytes().
+//     Instead of walking pointers it stably partitions the new positions by
+//     context symbol, one depth at a time, one task per root subtree (a
+//     position's last context symbol). While a range's context is already
+//     in the tree, its node takes the range's count and next symbols, and
+//     a list that outgrows its block moves to a fresh one. Below the
+//     existing tree the loop creates a node at the first position whose
+//     context reaches it, and under a stable partition that is the first
+//     position of the node's range, so a first pass counts the nodes each
+//     position creates, a prefix sum from NumNodes() turns the counts into
+//     each position's first id, and a second pass writes every node and
+//     list in place. Scratch memory is O(new positions); the result does
+//     not depend on the thread count. The per-iteration rebuild, the
+//     join's absorbs and checkpoint resume use it.
+//   * InsertSequence adds one sequence, walking each position's context
+//     from the root (O(l · L) for length l). Seeding, §4.2 within-scan
+//     joins and trained-once trees use it, and the bulk path falls back to
+//     it under a memory budget (§5.1 pruning depends on insertion order),
+//     after pruning has left reusable node ids, and for symbols outside
+//     the alphabet or batches past uint32 offsets.
 //
 // Querying P(s_i | s_1…s_{i-1}) walks from the root along s_{i-1}, s_{i-2},…
 // while the next node exists and is *significant* (count ≥ c); the node
@@ -65,8 +72,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "seq/alphabet.h"
@@ -149,12 +158,16 @@ class Pst {
     InsertSequence(std::span<const SymbolId>(seq.symbols()));
   }
 
-  /// Replaces the tree's contents with exactly what Clear() followed by
-  /// InsertSequence(s) for each of `segments`, in order, produces: the same
-  /// node ids, parents, edges, depths, counts, children and next-symbol
-  /// lists, NumNodes(), ApproxMemoryBytes() and metrics counters. Runs on
-  /// up to `num_threads` workers (0 = all); the result does not depend on
-  /// the count.
+  /// Adds `segments` exactly as InsertSequence of each, in order, would:
+  /// the same node ids, parents, edges, depths, counts, children and
+  /// next-symbol lists, NumNodes(), ApproxMemoryBytes() and metrics
+  /// counters. Runs on up to `num_threads` workers (0 = all); the result
+  /// does not depend on the count.
+  void InsertSequences(std::span<const std::span<const SymbolId>> segments,
+                       size_t num_threads);
+
+  /// Clear() followed by InsertSequences(segments, num_threads), reusing
+  /// the tree's storage without resetting it.
   void Build(std::span<const std::span<const SymbolId>> segments,
              size_t num_threads);
 
@@ -244,6 +257,29 @@ class Pst {
   using ChildEntry = std::pair<SymbolId, PstNodeId>;
   using NextEntry = std::pair<SymbolId, uint64_t>;
 
+  // Leaves the elements a vector grows by unconstructed (the storage's
+  // elements are all trivially copyable), so resizing for the bulk path
+  // does not write, and fault in, every new page on one thread: the
+  // workers that fill the elements do.
+  template <typename T>
+  struct UninitializedAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = UninitializedAllocator<U>;
+    };
+    UninitializedAllocator() = default;
+    template <typename U>
+    UninitializedAllocator(const UninitializedAllocator<U>&) {}
+    template <typename U>
+    void construct(U*) {}
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+  template <typename T>
+  using Storage = std::vector<T, UninitializedAllocator<T>>;
+
   // A sorted association list in a ListPool: `size` entries from slot `at`,
   // inside a block of bit_ceil(size) slots (no block while empty).
   struct ListRef {
@@ -272,17 +308,20 @@ class Pst {
     void Release(ListRef& list);
     // Drops every block, keeping capacity.
     void Clear();
-    // Drops every block, keeping capacity, and returns `size` contiguous
-    // slots, with stale contents, for a bulk build to carve into blocks and
-    // fill itself.
-    std::span<Entry> Carve(size_t size);
+    // Appends `size` slots, with stale contents, for a bulk insert to carve
+    // into blocks and fill itself, and returns the first. With `reset`,
+    // every block is dropped first and the old slots are reused as they
+    // are.
+    uint32_t Extend(size_t size, bool reset);
+    std::span<Entry> Slots() { return slots_; }
+    // Puts a block of `capacity` slots on its free list.
+    void Free(uint32_t at, uint32_t capacity);
     size_t CapacityBytes() const;
 
    private:
     uint32_t Allocate(uint32_t capacity);
-    void Free(uint32_t at, uint32_t capacity);
 
-    std::vector<Entry> slots_;
+    Storage<Entry> slots_;
     std::vector<std::vector<uint32_t>> free_;
   };
 
@@ -296,8 +335,13 @@ class Pst {
     ListRef next;      // In next_, sorted by symbol.
   };
 
-  // Build's two partition passes (pst.cc).
+  // The bulk path's two partition passes (pst.cc).
   class BulkBuilder;
+
+  // Runs the bulk path, first clearing the tree if `replace`. False, with
+  // the tree untouched, when the segments must take the insertion loop.
+  bool InsertInBulk(std::span<const std::span<const SymbolId>> segments,
+                    size_t num_threads, bool replace);
 
   std::span<const NextEntry> Next(const Node& node) const {
     return next_.View(node.next);
@@ -311,7 +355,7 @@ class Pst {
 
   size_t alphabet_size_;
   PstOptions options_;
-  std::vector<Node> nodes_;
+  Storage<Node> nodes_;
   std::vector<PstNodeId> free_list_;
   ListPool<ChildEntry> children_;
   ListPool<NextEntry> next_;

@@ -3,6 +3,7 @@
 #   - `cluster --model-dir=D` leaves exactly one file in D, bank.fbank;
 #   - `classify` prints one line per input record, in input order;
 #   - --prefilter=off output is byte-identical to --prefilter=on;
+#   - classify rejects cluster-only flags (exit 2, naming the flag);
 #   - a truncated bank, or a missing one, makes classify exit non-zero.
 #
 # Usage: cli_model_roundtrip_test.sh <path/to/cluseq_cli>
@@ -40,6 +41,17 @@ cmp -s "$work/ids.want" "$work/ids.got" ||
   fail "classify --prefilter=off exited non-zero"
 cmp -s "$work/on.out" "$work/off.out" ||
   fail "--prefilter=off output differs from --prefilter=on"
+
+for flag in --strict --resume --checkpoint_dir="$work/ckpt" \
+  --checkpoint_every=2 --max_seconds=5; do
+  name=${flag%%=*}
+  "$cli" classify --input="$work/db.tsv" --model-dir="$work/models" \
+    "$flag" > "$work/flag.out" 2>&1
+  code=$?
+  [ "$code" -eq 2 ] || fail "classify $name exited $code, expected 2"
+  grep -q -- "$name" "$work/flag.out" ||
+    fail "classify $name: message does not name the flag: $(cat "$work/flag.out")"
+done
 
 truncate -s 64 "$work/models/bank.fbank" || fail "truncate failed"
 if "$cli" classify --input="$work/db.tsv" --model-dir="$work/models" \

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/metrics.h"
+#include "pst_digest.h"
 #include "synth/dataset.h"
 #include "util/cancellation.h"
 
@@ -261,6 +262,46 @@ TEST(CluseqTest, MultithreadedMatchesSingleThreaded) {
   ClusteringResult r2;
   ASSERT_TRUE(RunCluseq(db, o, &r2).ok());
   EXPECT_EQ(r1.clusters, r2.clusters);
+}
+
+TEST(CluseqBulkJoinTest, EveryTreeIsItsContributionsInsertedInOrder) {
+  // Whole-run oracle for the bulk tree paths (the rebuild's Build and the
+  // join's InsertSequences): after Run(), every cluster's tree hashes like
+  // the insertion loop replaying its contributions in order.
+  SyntheticDatasetOptions data;
+  data.num_clusters = 4;
+  data.sequences_per_cluster = 40;
+  data.avg_length = 150;
+  data.outlier_fraction = 0.0;
+  data.seed = 61;
+  const SequenceDatabase db = MakeSyntheticDataset(data);
+  CluseqOptions o;
+  o.initial_clusters = 2;
+  o.significance_threshold = 30;
+  o.min_unique_members = 0;
+  o.max_iterations = 4;
+  o.pst.max_depth = 12;
+  o.rng_seed = 7;
+  for (size_t threads : {size_t{1}, size_t{4}, size_t{7}}) {
+    o.num_threads = threads;
+    CluseqClusterer clusterer(db, o);
+    ClusteringResult result;
+    ASSERT_TRUE(clusterer.Run(&result).ok());
+    ASSERT_FALSE(clusterer.clusters().empty());
+    size_t contributions = 0;
+    for (const Cluster& cluster : clusterer.clusters()) {
+      Pst replay(db.alphabet().size(), cluster.pst().options());
+      for (const auto& [s, seg] : cluster.contributions()) {
+        replay.InsertSequence(
+            db.Symbols(s).subspan(seg.begin, seg.end - seg.begin));
+      }
+      contributions += cluster.contributions().size();
+      EXPECT_EQ(pst_test::CheckedHash(cluster.pst()),
+                pst_test::CheckedHash(replay))
+          << "cluster " << cluster.id() << ", " << threads << " threads";
+    }
+    EXPECT_GT(contributions, 2 * clusterer.clusters().size());
+  }
 }
 
 TEST(CluseqTest, ClassifyAgreesWithClustering) {

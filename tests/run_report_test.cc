@@ -140,6 +140,9 @@ TEST(RunReportTest, RoundTripMatchesIterationStats) {
               expect.seed_seconds + expect.scan_seconds);
     EXPECT_DOUBLE_EQ(stats->Find("join_seconds")->number,
                      expect.join_seconds);
+    EXPECT_DOUBLE_EQ(stats->Find("absorb_seconds")->number,
+                     expect.absorb_seconds);
+    EXPECT_LE(expect.absorb_seconds, expect.join_seconds);
     EXPECT_DOUBLE_EQ(stats->Find("consolidate_seconds")->number,
                      expect.consolidate_seconds);
     EXPECT_DOUBLE_EQ(stats->Find("prefilter_skip_ratio")->number,

@@ -170,6 +170,9 @@ struct CommonFlags {
   uint64_t seed = 42;
   bool strict = false;
   double max_seconds = 0.0;  // 0 = no deadline.
+  // The first checkpoint or deadline flag given (they only apply to
+  // cluster), as typed up to any '='; empty if none.
+  std::string cluster_only_flag;
   CluseqOptions options;
 
   // Returns false (after printing) on an unknown flag.
@@ -177,6 +180,16 @@ struct CommonFlags {
     std::string v;
     for (int i = 2; i < argc; ++i) {
       std::string_view arg = argv[i];
+      if (cluster_only_flag.empty() &&
+          (ParseFlag(arg, "checkpoint_dir", &v) ||
+           ParseFlag(arg, "checkpoint-dir", &v) ||
+           ParseFlag(arg, "checkpoint_every", &v) ||
+           ParseFlag(arg, "checkpoint-every", &v) ||
+           ParseFlag(arg, "max_seconds", &v) ||
+           ParseFlag(arg, "max-seconds", &v) || arg == "--resume" ||
+           arg == "--strict")) {
+        cluster_only_flag = arg.substr(0, arg.find('='));
+      }
       if (ParseFlag(arg, "input", &v)) {
         input = v;
       } else if (ParseFlag(arg, "out", &v) || ParseFlag(arg, "output", &v)) {
@@ -485,6 +498,11 @@ int RunCluster(CommonFlags& flags) {
 }
 
 int RunClassify(const CommonFlags& flags) {
+  if (!flags.cluster_only_flag.empty()) {
+    std::fprintf(stderr, "classify: %s applies to cluster only\n",
+                 flags.cluster_only_flag.c_str());
+    return 2;
+  }
   if (flags.input.empty() || flags.model_dir.empty()) {
     std::fprintf(stderr,
                  "classify: --input=<path> and --model-dir=<dir> are "
