@@ -32,12 +32,12 @@ namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 // Runs `work(ci, threads)` once for each cluster index ci in `clusters`,
-// where symbols[ci] is the number of symbols its tree work counts. A
-// cluster holding at least a worker's share of them runs alone on every
-// worker, so one large cluster is not left to a single thread; the others
-// run side by side, one worker each. Without `alone` (a memory budget,
-// under which the bulk tree paths run the insertion loop on one thread)
-// every cluster runs side by side.
+// where symbols[ci] is the cost of its work. A cluster holding at least a
+// worker's share of the cost runs alone on every worker, so one large
+// cluster is not left to a single thread; the others run side by side, one
+// worker each. Without `alone` (work that runs on one thread anyway: a live
+// tree's freeze, or its rebuild under a memory budget, which takes the
+// insertion loop) every cluster runs side by side.
 template <typename Work>
 void ScheduleClusterWork(std::span<const size_t> clusters,
                          std::span<const uint64_t> symbols, size_t threads,
@@ -173,12 +173,12 @@ double CluseqClusterer::EstimateInitialLogThreshold() {
   if (sample_size < 3) return std::log(options_.similarity_threshold);
   std::vector<size_t> sample = rng_.SampleWithoutReplacement(n, sample_size);
   // Single-sequence summaries, compiled once each and scored pairwise with
-  // the automaton scan. The live trees are throwaways.
+  // the automaton scan.
   std::vector<std::shared_ptr<const FrozenPst>> frozen(sample_size);
   ParallelFor(sample_size, options_.num_threads, [&](size_t j) {
-    Pst pst(db_.alphabet().size(), options_.pst);
-    pst.InsertSequence(db_.Symbols(sample[j]));
-    frozen[j] = std::make_shared<const FrozenPst>(pst, background_);
+    const std::span<const SymbolId> sequence[] = {db_.Symbols(sample[j])};
+    frozen[j] = std::make_shared<const FrozenPst>(FrozenPst::Compile(
+        sequence, db_.alphabet().size(), options_.pst, background_, 1));
   });
   std::vector<double> pairwise(sample_size * sample_size, kNegInf);
   const auto sample_cost = [&](size_t i) -> uint64_t {
@@ -233,10 +233,22 @@ void CluseqClusterer::GenerateNewClusters(size_t count) {
                   background_, options_.pst, options_.num_threads, &rng_,
                   options_.batched_scan, options_.prefilter);
   for (size_t seq_index : seeds) {
-    clusters_.emplace_back(next_cluster_id_++, db_.alphabet().size(),
-                           options_.pst);
+    clusters_.push_back(NewCluster(next_cluster_id_++));
     clusters_.back().Seed(db_.Symbols(seq_index), seq_index);
   }
+}
+
+bool CluseqClusterer::CompiledClusters() const {
+  // A compiled cluster's snapshot is a function of its contributions, so
+  // batch mode needs no tree. §4.2 mode scores against trees that change
+  // mid-scan, and a budget's pruning follows insertion order, so both keep
+  // the live tree and update it in place.
+  return !options_.within_scan_updates && options_.pst.max_memory_bytes == 0;
+}
+
+Cluster CluseqClusterer::NewCluster(uint32_t id) const {
+  if (CompiledClusters()) return Cluster(id, db_, options_.pst);
+  return Cluster(id, db_.alphabet().size(), options_.pst);
 }
 
 std::vector<size_t> CluseqClusterer::VisitOrderIndices() {
@@ -279,10 +291,10 @@ void CluseqClusterer::RebuildClusterPsts() {
   // iterations, never inside a scan.
   //
   // Incremental skip: when the recomputed segments are exactly what the
-  // tree already counts, rebuilding from them would reproduce the
-  // identical tree (pure counting is commutative across insert order), so
-  // the tree — and its compiled snapshot — is left untouched and the
-  // cluster needs no re-freeze this iteration. A memory budget makes
+  // summary already counts, rebuilding from them would reproduce the
+  // identical summary (pure counting is commutative across insert order),
+  // so it — and its compiled snapshot — is left untouched and the cluster
+  // needs no re-freeze this iteration. A memory budget makes
   // insertion-order-dependent pruning kick in, so then we always rebuild.
   const bool can_skip = options_.pst.max_memory_bytes == 0;
   CLUSEQ_TRACE_SPAN("cluseq.rebuild_psts");
@@ -329,9 +341,10 @@ void CluseqClusterer::RebuildClusterPsts() {
       });
   resegment_seconds_this_iter_ += resegment_timer.ElapsedSeconds() -
                                   (freeze_seconds_this_iter_ - freeze_before);
-  // Build counts the members' segments in member order, so each tree (and
-  // any pruning under a memory budget) is the serial insertion's, bit for
-  // bit, on any number of workers.
+  // Rebuild counts the members' segments in member order, so each summary
+  // (and any pruning under a memory budget) is the serial insertion's, bit
+  // for bit, on any number of workers. A compiled cluster only records
+  // them; the scan's RefreshFrozen compiles its snapshot.
   Stopwatch build_timer;
   std::vector<size_t> rebuilt;
   std::vector<uint64_t> symbols(kc, 0);
@@ -351,12 +364,13 @@ void CluseqClusterer::RebuildClusterPsts() {
                         clusters_[ci].Rebuild(contributions[ci], db_, threads);
                       });
 #if defined(__GLIBC__)
-  // glibc keeps freed heap memory in its arenas. The bulk tree paths'
-  // scratch and the trees regrown by workers leave free pages behind that
-  // otherwise accumulate over the iterations (measured on protein-tuned:
-  // peak RSS ~13% above the insertion loop's, with the same live memory).
-  // Hand them back once per iteration, here rather than after the join
-  // (perfbench peak RSS medians alike); it takes about 1.5 ms.
+  // glibc keeps freed heap memory in its arenas. The compiles' scratch and
+  // the snapshots replaced every iteration, made by several workers, leave
+  // free pages behind that otherwise accumulate over the iterations. Hand
+  // them back once per iteration. Measured with compiled clusters
+  // (perfbench, 5 seeds): protein-tuned peak RSS median 71.1 MB with this
+  // call against 73.8 MB without (70.4-71.5 against 72.5-82.3);
+  // synthetic-deep alike (14.5 against 14.4 MB).
   malloc_trim(0);
 #endif
   build_seconds_this_iter_ += build_timer.ElapsedSeconds();
@@ -368,16 +382,22 @@ size_t CluseqClusterer::RefreshFrozen() {
   for (size_t ci = 0; ci < clusters_.size(); ++ci) {
     if (!clusters_[ci].frozen_fresh()) stale.push_back(ci);
   }
-  // Freeze cost scales with tree size, and cluster sizes are skewed —
-  // weight by node count so one giant cluster does not serialize the tail.
-  ParallelForWeighted(
-      stale.size(), options_.num_threads,
-      [&](size_t i) -> uint64_t { return clusters_[stale[i]].pst().NumNodes(); },
-      [&](size_t i) {
-        Cluster& cluster = clusters_[stale[i]];
-        cluster.SetFrozen(
-            std::make_shared<const FrozenPst>(cluster.pst(), background_));
-      });
+  // Cluster sizes are skewed, so weight each snapshot by its cost: a
+  // compile by the symbols it partitions (a cluster with a worker's share
+  // of them compiles alone on every worker), a live tree's freeze by its
+  // node count.
+  const bool compiled = CompiledClusters();
+  std::vector<uint64_t> cost(clusters_.size(), 0);
+  for (size_t ci : stale) {
+    cost[ci] = compiled ? clusters_[ci].num_symbols()
+                        : clusters_[ci].pst().NumNodes();
+  }
+  ScheduleClusterWork(stale, cost, options_.num_threads, compiled,
+                      [&](size_t ci, size_t threads) {
+                        Cluster& cluster = clusters_[ci];
+                        cluster.SetFrozen(
+                            cluster.Snapshot(background_, threads));
+                      });
   refrozen_this_iter_ += stale.size();
   freeze_seconds_this_iter_ += freeze_timer.ElapsedSeconds();
   return stale.size();
@@ -493,7 +513,7 @@ void CluseqClusterer::Recluster() {
     // ascending ci — the order the serial sweep produced. Pass 2 is
     // cluster-sharded: each task owns a disjoint cluster and collects its
     // joins in ascending s, reproducing exactly that cluster's subsequence
-    // of the serial sweep, so member order and PST insertion order (which
+    // of the serial sweep, so member order and contribution order (which
     // pruning under a memory budget depends on) are thread-count-invariant.
     all_log_sims_.resize(n * kc);
     ParallelFor(n, options_.num_threads, [&](size_t s) {
@@ -507,7 +527,9 @@ void CluseqClusterer::Recluster() {
       }
     });
     // Each cluster's newcomers (sequences that have not contributed to it
-    // yet) are then absorbed in one bulk insert, in that same order.
+    // yet) are then absorbed in that same order: recorded by a compiled
+    // cluster, whose next snapshot is compiled from them, and inserted into
+    // a live tree (under a memory budget) by the insertion loop.
     std::vector<size_t> joins_per_cluster(kc, 0);
     std::vector<std::vector<std::pair<size_t, Cluster::Segment>>> newcomers(
         kc);
@@ -531,12 +553,16 @@ void CluseqClusterer::Recluster() {
     for (size_t ci = 0; ci < kc; ++ci) {
       if (!newcomers[ci].empty()) touched.push_back(ci);
     }
-    ScheduleClusterWork(touched, new_symbols, options_.num_threads,
-                        options_.pst.max_memory_bytes == 0,
-                        [&](size_t ci, size_t threads) {
-                          clusters_[ci].AbsorbSegments(newcomers[ci], db_,
-                                                       threads);
-                        });
+    ParallelForWeighted(
+        touched.size(), options_.num_threads,
+        [&](size_t i) -> uint64_t { return new_symbols[touched[i]]; },
+        [&](size_t i) {
+          Cluster& cluster = clusters_[touched[i]];
+          for (const auto& [s, segment] : newcomers[touched[i]]) {
+            cluster.AbsorbSegment(s, db_.Symbols(s), segment.begin,
+                                  segment.end);
+          }
+        });
     absorb_seconds_this_iter_ += absorb_timer.ElapsedSeconds();
     size_t joins = 0;
     for (size_t c : joins_per_cluster) joins += c;
@@ -756,9 +782,10 @@ Status CluseqClusterer::RestoreFromCheckpoint(
   clusters_.reserve(ckpt.clusters.size());
   std::vector<std::pair<size_t, Cluster::Segment>> contributions;
   for (const CheckpointClusterState& state : ckpt.clusters) {
-    Cluster cluster(state.id, db_.alphabet().size(), options_.pst);
+    Cluster cluster = NewCluster(state.id);
     // Rebuilding from the contributions in their recorded order repeats the
-    // original insertions (and any §5.1 pruning) exactly.
+    // original insertions (and any §5.1 pruning) exactly; a compiled
+    // cluster only records them.
     contributions.clear();
     for (const auto& contrib : state.contributions) {
       contributions.push_back({static_cast<size_t>(contrib.seq_index),
@@ -1106,12 +1133,15 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     run_prefilter_l15_ += prefilter_l15_this_iter_;
     size_t pst_bytes_total = 0;
     for (const Cluster& c : clusters_) {
-      stats.pst_nodes_total += c.pst().NumNodes();
-      stats.pst_arena_bytes_total += c.pst().ArenaBytes();
+      if (!c.compiled()) {
+        stats.pst_nodes_total += c.pst().NumNodes();
+        stats.pst_arena_bytes_total += c.pst().ArenaBytes();
+        pst_bytes_total += c.pst().ApproxMemoryBytes();
+      }
       if (c.frozen() != nullptr) {
         stats.frozen_states_total += c.frozen()->num_states();
+        stats.frozen_bytes_total += c.frozen()->ApproxMemoryBytes();
       }
-      pst_bytes_total += c.pst().ApproxMemoryBytes();
     }
     stats.pst_pruned_total =
         static_cast<size_t>(pruned_counter.Value() - pruned_before);
@@ -1134,24 +1164,35 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     report_->iteration_metrics.push_back(registry.Snapshot());
 
     if (options_.verbose) {
+      // Compiled clusters hold no trees: their summaries are the recorded
+      // segments, and every snapshot is a compile.
+      const bool compiled = CompiledClusters();
+      const std::string summaries =
+          compiled ? std::string()
+                   : std::to_string(stats.pst_nodes_total) + " pst nodes (" +
+                         std::to_string(stats.pst_pruned_total) + " pruned, " +
+                         std::to_string(stats.pst_arena_bytes_total) +
+                         " arena bytes), ";
       CLUSEQ_LOG(kInfo) << "iteration " << iteration << ": +" << generated
                         << " new, -" << consolidated << " consolidated, "
                         << clusters_.size() << " clusters, "
                         << unclustered_.size() << " unclustered, log t = "
                         << log_t_ << ", scan " << stats.scan_seconds
                         << "s, refroze " << stats.refrozen_clusters
-                        << " clusters, " << stats.pst_nodes_total
-                        << " pst nodes (" << stats.pst_pruned_total
-                        << " pruned, " << stats.pst_arena_bytes_total
-                        << " arena bytes), " << stats.frozen_states_total
-                        << " frozen states, phases seed "
+                        << " clusters, " << summaries
+                        << stats.frozen_states_total << " frozen states ("
+                        << stats.frozen_bytes_total
+                        << " model bytes), phases seed "
                         << stats.seed_seconds << "s (rebuild "
                         << stats.rebuild_seconds << "s: resegment "
-                        << stats.resegment_seconds << "s, build "
-                        << stats.build_seconds << "s) / freeze "
+                        << stats.resegment_seconds << "s, "
+                        << (compiled ? "record " : "build ")
+                        << stats.build_seconds << "s) / "
+                        << (compiled ? "compile " : "freeze ")
                         << stats.freeze_seconds << "s / assemble "
                         << stats.assemble_seconds << "s / join "
-                        << stats.join_seconds << "s (absorb "
+                        << stats.join_seconds << "s ("
+                        << (compiled ? "record " : "absorb ")
                         << stats.absorb_seconds << "s) / consolidate "
                         << stats.consolidate_seconds
                         << "s, prefilter skip "

@@ -225,26 +225,34 @@ struct IterationStats {
   /// Wall time of the re-cluster similarity scan (scoring only, excluding
   /// the join/absorb apply phase).
   double scan_seconds = 0.0;
-  /// Live PST nodes across all clusters at the end of the iteration.
+  /// What the cluster summaries hold at the end of the iteration. A run
+  /// keeps live trees only in §4.2 within-scan mode or under a memory
+  /// budget; otherwise its clusters keep their contributions and compiled
+  /// snapshots alone (core/cluster.h), and the two pst_* fields read 0.
+  /// pst_nodes_total: live PST nodes across the live clusters.
+  /// pst_arena_bytes_total: bytes their trees reserve (Pst::ArenaBytes),
+  /// real memory, unlike the §5.1 cost model that --pst-memory budgets are
+  /// checked against (Pst::ApproxMemoryBytes).
   size_t pst_nodes_total = 0;
-  /// Bytes the clusters' live PSTs reserve (Pst::ArenaBytes) at the end of
-  /// the iteration. Real memory, unlike the §5.1 cost model that
-  /// --pst-memory budgets are checked against (Pst::ApproxMemoryBytes).
   size_t pst_arena_bytes_total = 0;
-  /// Automaton states across the clusters' latest compiled snapshots at the
-  /// end of the iteration (significant contexts plus closure states).
+  /// Automaton states and table bytes (FrozenPst::ApproxMemoryBytes)
+  /// across every cluster's latest snapshot (significant contexts plus
+  /// closure states), in either mode.
   size_t frozen_states_total = 0;
+  size_t frozen_bytes_total = 0;
   /// Nodes pruned from cluster PSTs during this iteration (all §5.1
   /// strategies combined; rebuilt trees count their own pruning).
   size_t pst_pruned_total = 0;
   /// Wall time of cluster seeding (PST rebuild + new-cluster generation).
   double seed_seconds = 0.0;
   /// Nested leaves of the phases above. rebuild_seconds: the per-iteration
-  /// PST rebuild (RebuildClusterPsts, inside seed_seconds) without its
-  /// re-freeze, the sum of resegment_seconds (each member's best segment
+  /// purification (RebuildClusterPsts, inside seed_seconds) without its
+  /// snapshots, the sum of resegment_seconds (each member's best segment
   /// recomputed against the post-join snapshots) and build_seconds (the
-  /// trees built from those segments); freeze_seconds: every PST →
-  /// FrozenPst compile of the iteration (inside seed_seconds and
+  /// summaries reset to those segments: live trees rebuilt, compiled
+  /// clusters' contributions recorded); freeze_seconds: every snapshot
+  /// made in the iteration, from compiled clusters' contributions
+  /// (FrozenPst::Compile) or from live trees (inside seed_seconds and
   /// scan_seconds); assemble_seconds: packing the snapshots into the
   /// scoring bank (inside scan_seconds).
   double rebuild_seconds = 0.0;
@@ -255,8 +263,8 @@ struct IterationStats {
   /// Wall time of the join/absorb apply phase (0 in §4.2 within-scan mode,
   /// where joins are applied inside the scan itself).
   double join_seconds = 0.0;
-  /// Nested leaf of join_seconds: the newcomers' segments inserted into
-  /// their clusters' trees in bulk (Cluster::AbsorbSegments).
+  /// Nested leaf of join_seconds: the newcomers' segments added to their
+  /// clusters (recorded by compiled clusters, inserted into live trees).
   double absorb_seconds = 0.0;
   /// Wall time of consolidation + membership view rebuild.
   double consolidate_seconds = 0.0;
@@ -360,8 +368,14 @@ class CluseqClusterer {
   size_t PlanNewClusters(size_t iteration) const;
   double EstimateInitialLogThreshold();
   void GenerateNewClusters(size_t count);
-  // Compiles a snapshot for every cluster whose tree changed since its last
-  // freeze (in parallel); untouched clusters keep their cached snapshot.
+  // Whether the run's clusters are compiled (only their contributions):
+  // batch mode without a memory budget. Otherwise they are live (see
+  // core/cluster.h).
+  bool CompiledClusters() const;
+  // An empty cluster of the run's kind.
+  Cluster NewCluster(uint32_t id) const;
+  // Compiles a snapshot for every cluster whose summary changed since its
+  // last one (in parallel); untouched clusters keep their cached snapshot.
   // Returns how many clusters were (re)compiled.
   size_t RefreshFrozen();
   // The per-cluster cached snapshots, in cluster order. Call after

@@ -27,7 +27,7 @@ std::vector<size_t> SelectSeeds(
   sample_size = std::min(std::max(sample_size, num_seeds),
                          unclustered.size());
 
-  // Draw the sample and build one PST per sample sequence.
+  // Draw the sample and compile one model per sample sequence.
   std::vector<size_t> sample_positions =
       rng->SampleWithoutReplacement(unclustered.size(), sample_size);
   std::vector<size_t> sample_seq(sample_size);
@@ -38,9 +38,9 @@ std::vector<size_t> SelectSeeds(
   // sample_size - 1 peers plus every farthest-first round below.
   std::vector<std::shared_ptr<const FrozenPst>> sample_psts(sample_size);
   ParallelFor(sample_size, num_threads, [&](size_t i) {
-    Pst pst(db.alphabet().size(), pst_options);
-    pst.InsertSequence(db.Symbols(sample_seq[i]));
-    sample_psts[i] = std::make_shared<const FrozenPst>(pst, background);
+    const std::span<const SymbolId> sequence[] = {db.Symbols(sample_seq[i])};
+    sample_psts[i] = std::make_shared<const FrozenPst>(FrozenPst::Compile(
+        sequence, db.alphabet().size(), pst_options, background, 1));
   });
 
   // Outlier screen: how well is each sample explained by its best peer?

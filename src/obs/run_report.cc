@@ -91,6 +91,7 @@ void WriteIterationStats(JsonWriter& writer, const IterationStats& stats) {
                   uint64_t{stats.pst_arena_bytes_total});
   writer.KeyValue("frozen_states_total",
                   uint64_t{stats.frozen_states_total});
+  writer.KeyValue("frozen_bytes_total", uint64_t{stats.frozen_bytes_total});
   writer.KeyValue("pst_pruned_total", uint64_t{stats.pst_pruned_total});
   writer.KeyValue("seed_seconds", stats.seed_seconds);
   writer.KeyValue("rebuild_seconds", stats.rebuild_seconds);

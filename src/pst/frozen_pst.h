@@ -49,6 +49,21 @@
 //     st = frozen.Step(st, s);      // absorb s into the context
 //   }
 //
+// Compiling without a tree: FrozenPst::Compile turns a list of segments
+// straight into the snapshot FrozenPst(tree) would give for the tree that
+// Pst::Build makes of them, byte for byte, with no live tree. It stably
+// partitions the positions by their next older context symbol, one root
+// subtree per worker, like Build, but descends only into ranges of at
+// least c positions: a range's size is its context's count, and a longer
+// context never counts more, so every other range holds no state. Each
+// state's row comes from its range's next-symbol counts through
+// Pst::Probability, the arithmetic of Pst::NodeProbability. Cost and
+// scratch memory scale with the positions and the significant contexts,
+// not with the trie: the synthetic corpus at depth 12 and c = 30 has 4 804
+// states against 2.5 M tree nodes. Batch-mode clusters without a memory
+// budget keep only their segments and compile their snapshots this way
+// (core/cluster.h).
+//
 // Equivalence: for any Pst (including post-PruneToBudget and merged trees)
 // the scan produces bit-for-bit the same per-position log ratios as the
 // live root-walk path; tests/frozen_pst_equivalence_test.cc holds the
@@ -86,6 +101,18 @@ class FrozenPst {
   /// alphabet; the inputs are only read during construction and may be
   /// destroyed or mutated afterwards.
   FrozenPst(const Pst& pst, const BackgroundModel& background);
+
+  /// FrozenPst(tree, background) for the tree that a Pst(alphabet_size,
+  /// options) gets from Build(segments), without building it: the same
+  /// states, tables and derived maxima, byte for byte. Runs on up to
+  /// `num_threads` workers (0 = all); the result does not depend on the
+  /// count. Under a memory budget (whose §5.1 pruning depends on insertion
+  /// order), for symbols outside the alphabet and for texts past uint32
+  /// offsets it builds the tree and freezes it.
+  static FrozenPst Compile(std::span<const std::span<const SymbolId>> segments,
+                           size_t alphabet_size, const PstOptions& options,
+                           const BackgroundModel& background,
+                           size_t num_threads);
 
   FrozenPst(const FrozenPst&) = default;
   FrozenPst& operator=(const FrozenPst&) = default;
@@ -144,8 +171,19 @@ class FrozenPst {
   double max_log_ratio() const { return max_log_ratio_; }
 
  private:
-  /// Rebuilds max_symbol_log_ratio_/max_log_ratio_ from log_ratio_. Called
-  /// at the end of freezing.
+  // Compile's partition and emission passes (frozen_pst.cc).
+  class Compiler;
+
+  /// Fills next_ from each state's parent state and edge (the oldest symbol
+  /// of its label), with depth_ set and states numbered depth-major.
+  /// `child(q, e)` is the state whose label is label(q) extended by the
+  /// older symbol e, or kNoState.
+  template <typename ChildOf>
+  void FillTransitions(std::span<const State> parent,
+                       std::span<const SymbolId> edge, ChildOf child);
+
+  /// Rebuilds max_symbol_log_ratio_/max_log_ratio_ from log_ratio_ and
+  /// counts the snapshot in the metrics. Called at the end of freezing.
   void ComputeDerived();
 
   size_t alphabet_size_ = 0;

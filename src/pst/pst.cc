@@ -4,9 +4,11 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <queue>
 
 #include "obs/metrics.h"
+#include "pst/partition_text.h"
 #include "util/thread_pool.h"
 
 namespace cluseq {
@@ -38,20 +40,15 @@ constexpr size_t kNodeBytes = 72;
 constexpr size_t kChildEntryBytes = 8;
 constexpr size_t kNextEntryBytes = 16;
 
-// Resizes `v` to `size` elements, keeping the first `keep`; the others are
-// for the caller to overwrite, so stale ones are not reset. Storage that is
-// too small is replaced by twice as much, as growth by insertion would.
-// When nothing is kept, the old buffer is released first, so the old and
-// the new buffer are never both held.
+// Resizes `v` to `size` elements that the caller overwrites, so elements
+// it keeps are not reset. Storage that is too small is released first, so
+// the old and the new buffer are never both held, and replaced by twice as
+// much, as growth by insertion would.
 template <typename Vector>
-void ResizeKeeping(Vector& v, size_t keep, size_t size) {
+void ResizeForOverwrite(Vector& v, size_t size) {
   if (size > v.capacity()) {
     const size_t capacity = std::max(size, 2 * v.capacity());
-    if (keep == 0) {
-      Vector().swap(v);
-    } else {
-      v.resize(keep);
-    }
+    Vector().swap(v);
     v.reserve(capacity);
   }
   v.resize(size);
@@ -140,13 +137,10 @@ void Pst::ListPool<Entry>::Clear() {
 }
 
 template <typename Entry>
-uint32_t Pst::ListPool<Entry>::Extend(size_t size, bool reset) {
-  if (reset) {
-    for (auto& blocks : free_) blocks.clear();
-  }
-  const size_t at = reset ? 0 : slots_.size();
-  ResizeKeeping(slots_, at, at + size);
-  return static_cast<uint32_t>(at);
+std::span<Entry> Pst::ListPool<Entry>::Carve(size_t size) {
+  for (auto& blocks : free_) blocks.clear();
+  ResizeForOverwrite(slots_, size);
+  return slots_;
 }
 
 template <typename Entry>
@@ -170,14 +164,19 @@ Status PstOptions::Validate() const {
   return Status::OK();
 }
 
-Pst::Pst(size_t alphabet_size, PstOptions options)
-    : alphabet_size_(alphabet_size), options_(options) {
+PstOptions Pst::EffectiveOptions(size_t alphabet_size, PstOptions options) {
   // The smoothed probabilities must satisfy n * p_min < 1; clamp so even a
   // uniform CPD keeps (1 - n*p_min) positive.
-  if (alphabet_size_ > 0 && options_.smoothing_p_min > 0.0) {
-    options_.smoothing_p_min = std::min(
-        options_.smoothing_p_min, 0.5 / static_cast<double>(alphabet_size_));
+  if (alphabet_size > 0 && options.smoothing_p_min > 0.0) {
+    options.smoothing_p_min = std::min(
+        options.smoothing_p_min, 0.5 / static_cast<double>(alphabet_size));
   }
+  return options;
+}
+
+Pst::Pst(size_t alphabet_size, PstOptions options)
+    : alphabet_size_(alphabet_size),
+      options_(EffectiveOptions(alphabet_size, options)) {
   nodes_.push_back(Node());  // Root: empty label, depth 0.
   approx_bytes_ = kNodeBytes;
 }
@@ -247,89 +246,23 @@ void Pst::InsertSequence(std::span<const SymbolId> symbols) {
   }
 }
 
-namespace {
-
-// Separates the segments in the bulk path's text: no context reaches past
-// it.
-constexpr SymbolId kBoundary = kInvalidSymbol;
-
-// Below this many new positions the bulk path runs on the calling thread
-// alone.
-constexpr size_t kMinParallelPositions = size_t{1} << 12;
-
-// Slots of the fresh block a list needs to grow from `size` to `grown`
-// entries: none while they fit its own block of bit_ceil(size) slots.
-size_t FreshSlots(size_t size, size_t grown) {
-  const size_t capacity = size == 0 ? 0 : std::bit_ceil(size);
-  return grown > capacity ? std::bit_ceil(grown) : 0;
-}
-
-// Multiset of symbols over a dense alphabet: counts plus the distinct
-// symbols seen, so that a reset costs the number of distinct symbols.
-class SymbolTally {
- public:
-  explicit SymbolTally(size_t alphabet_size) : count_(alphabet_size, 0) {}
-
-  void Add(SymbolId s) {
-    if (count_[s]++ == 0) distinct_.push_back(s);
-  }
-  uint32_t Count(SymbolId s) const { return count_[s]; }
-  size_t NumDistinct() const { return distinct_.size(); }
-  // The distinct symbols in the order first seen.
-  std::span<const SymbolId> Distinct() const { return distinct_; }
-  // The distinct symbols in ascending order.
-  std::span<const SymbolId> Sorted() {
-    std::sort(distinct_.begin(), distinct_.end());
-    return distinct_;
-  }
-  void Reset() {
-    for (SymbolId s : distinct_) count_[s] = 0;
-    distinct_.clear();
-  }
-
- private:
-  std::vector<uint32_t> count_;
-  std::vector<SymbolId> distinct_;
-};
-
-}  // namespace
-
-// The bulk path's state. The text holds every new segment after a
-// kBoundary, so the context symbol of position p at depth d is text[p - d],
+// Build's state. The text (PartitionText) holds every segment after a
+// boundary, so the context symbol of position p at depth d is text[p - d],
 // and a context ends at the first boundary or at max_depth. A node's
-// *range* is a run of `order_` holding the new positions whose context
-// reaches the node. Pass 1 partitions each range stably by the next context
-// symbol into the children's ranges, so when it reaches a range the
-// positions are still in insertion order. A range whose node the tree
-// already has only adds to that node: its count, its next symbols and any
-// new children. Otherwise the range's first position is the one at which
-// the insertion loop creates the node. Pass 2 finds the same ranges as runs
-// of equal keys; partitioning has moved the creator there, but it is still
-// the smallest position. New blocks, for new nodes' lists and for existing
-// lists that outgrow their block, are carved from slots appended to the
-// pools, one share per root subtree, so the workers write disjoint slots;
-// the blocks moved lists leave go back to the free lists at the end.
+// *range* is a run of `order_` holding the positions whose context reaches
+// the node. Pass 1 partitions each range stably by the next context symbol
+// into the children's ranges, so when it reaches a range the positions are
+// still in insertion order and the first is the one at which the insertion
+// loop creates the node. Pass 2 finds the same ranges as runs of equal
+// keys; partitioning has moved the creator there, but it is still the
+// smallest position.
 class Pst::BulkBuilder {
  public:
-  // With `replace`, the tree is cleared first, its storage kept for the
-  // passes to overwrite.
-  BulkBuilder(Pst* pst, std::vector<SymbolId> text, bool replace)
+  BulkBuilder(Pst* pst, std::vector<SymbolId> text)
       : pst_(*pst),
         depth_(pst->options_.max_depth),
-        replace_(replace),
         text_(std::move(text)),
-        ids_(text_.size(), 0),
-        root_next_(pst->alphabet_size_) {
-    if (replace_) {
-      pst_.nodes_[kPstRoot] = Node();
-      pst_.free_list_.clear();
-      pst_.live_nodes_ = 1;
-      pst_.approx_bytes_ = kNodeBytes;
-    }
-    // The loop appends new nodes: no node ids are free here.
-    base_id_ = replace_ ? kPstRoot + 1
-                        : static_cast<PstNodeId>(pst_.nodes_.size());
-  }
+        ids_(text_.size(), 0) {}
 
   void Run(size_t num_threads) {
     SplitRoot();
@@ -343,54 +276,29 @@ class Pst::BulkBuilder {
     PlaceRoot(AssignIds());
     ParallelForWeighted(subtrees_.size(), threads, weight,
                         [&](size_t i) { Emit(i); });
-    FreeMovedBlocks();
   }
 
   uint64_t num_positions() const { return num_positions_; }
-  size_t nodes_created() const { return num_nodes_ - base_id_; }
 
  private:
-  // A block a moved list left behind.
-  struct Block {
-    uint32_t at;
-    uint32_t capacity;
-  };
-  struct Freed {
-    std::vector<Block> children;
-    std::vector<Block> next;
-  };
-  // A depth-1 node: its range, its share of the fresh list blocks, and the
-  // blocks its subtree's moved lists left.
+  // A depth-1 node: its range, and its share of the list pools.
   struct Subtree {
     SymbolId symbol = 0;
     uint32_t lo = 0;
     uint32_t hi = 0;
-    PstNodeId node = kNoPstNode;  // Set if the tree has the node already.
     size_t child_slots = 0;  // Sized by pass 1...
     size_t next_slots = 0;
-    size_t next_entries = 0;  // Next-symbol entries the subtree adds.
-    size_t child_at = 0;  // ...and placed by PlaceRoot, with the slot of
-    size_t next_at = 0;   // the root's children list that names a new node.
-    size_t slot = 0;
-    Freed freed{};
+    size_t next_entries = 0;
+    size_t child_at = 0;  // ...and placed by PlaceRoot.
+    size_t next_at = 0;
   };
   struct Range {
     uint32_t depth;
     uint32_t lo;
     uint32_t hi;
-    PstNodeId node = kNoPstNode;  // Set if the tree has the node already.
-    // Pass 2, for a new node: the parent, and the slot of its children
-    // list that names this node.
+    // Pass 2: the parent, and the slot of its children list that names
+    // this node.
     PstNodeId parent = kNoPstNode;
-    size_t slot = 0;
-  };
-  // A child's range as pass 2 finds it, with what MergeChildren gives it:
-  // the node if the tree has it, else the slot that names the new node.
-  struct KeyRun {
-    SymbolId key;
-    uint32_t lo;
-    uint32_t hi;
-    PstNodeId node = kNoPstNode;
     size_t slot = 0;
   };
 
@@ -402,31 +310,26 @@ class Pst::BulkBuilder {
   // have a context symbol by that symbol, stably.
   void SplitRoot() {
     const size_t alphabet = pst_.alphabet_size_;
+    root_next_.assign(alphabet, 0);
     std::vector<uint32_t> start(alphabet + 1, 0);
     for (uint32_t p = 1; p < text_.size(); ++p) {
-      if (text_[p] == kBoundary) continue;
+      if (text_[p] == kTextBoundary) continue;
       ++num_positions_;
-      root_next_.Add(text_[p]);
-      if (text_[p - 1] != kBoundary) ++start[text_[p - 1] + 1];
+      ++root_next_[text_[p]];
+      if (text_[p - 1] != kTextBoundary) ++start[text_[p - 1] + 1];
     }
-    const auto old = pst_.Children(kPstRoot);
-    size_t j = 0;
     for (size_t s = 0; s < alphabet; ++s) {
       if (start[s + 1] > 0) {
-        while (j < old.size() && old[j].first < s) ++j;
-        subtrees_.push_back(
-            {.symbol = static_cast<SymbolId>(s),
-             .lo = start[s],
-             .hi = start[s] + start[s + 1],
-             .node = j < old.size() && old[j].first == s ? old[j].second
-                                                         : kNoPstNode});
+        subtrees_.push_back({.symbol = static_cast<SymbolId>(s),
+                             .lo = start[s],
+                             .hi = start[s] + start[s + 1]});
       }
       start[s + 1] += start[s];
     }
     order_.resize(start[alphabet]);
     scratch_.resize(order_.size());
     for (uint32_t p = 1; p < text_.size(); ++p) {
-      if (text_[p] != kBoundary && text_[p - 1] != kBoundary) {
+      if (text_[p] != kTextBoundary && text_[p - 1] != kTextBoundary) {
         order_[start[text_[p - 1]]++] = p;
       }
     }
@@ -434,58 +337,30 @@ class Pst::BulkBuilder {
 
   // Pass 1 over one subtree: partitions its ranges down to single
   // positions, counts the nodes each position creates into ids_, and sizes
-  // the subtree's fresh list blocks. Reads the tree, writes none of it.
+  // the subtree's list blocks.
   void Partition(Subtree* subtree) {
-    const size_t alphabet = pst_.alphabet_size_;
-    SymbolTally next(alphabet);
-    SymbolTally keys(alphabet);
-    std::vector<uint32_t> cursor(alphabet);
-    std::vector<PstNodeId> child(alphabet);
-    std::vector<Range> stack = {{1, subtree->lo, subtree->hi, subtree->node}};
+    SymbolTally next(pst_.alphabet_size_);
+    SymbolTally keys(pst_.alphabet_size_);
+    std::vector<uint32_t> cursor(pst_.alphabet_size_);
+    std::vector<Range> stack = {{1, subtree->lo, subtree->hi}};
     while (!stack.empty()) {
       const Range r = stack.back();
       stack.pop_back();
       const uint32_t first = order_[r.lo];
-      if (r.node != kNoPstNode && r.hi - r.lo == 1) {
-        // One position down the existing tree, to where its context ends
-        // or leaves the tree.
-        PstNodeId id = r.node;
-        for (uint32_t d = r.depth;; ++d) {
-          const Node& node = pst_.nodes_[id];
-          if (FindEntry(pst_.next_.View(node.next), text_[first]) == nullptr) {
-            ++subtree->next_entries;
-            subtree->next_slots +=
-                FreshSlots(node.next.size, node.next.size + 1);
-          }
-          if (d >= depth_ || Key(first, d) == kBoundary) break;
-          const auto* child =
-              FindEntry(pst_.children_.View(node.children), Key(first, d));
-          if (child == nullptr) {
-            subtree->child_slots +=
-                FreshSlots(node.children.size, node.children.size + 1);
-            stack.push_back({d + 1, r.lo, r.hi});
-            break;
-          }
-          id = child->second;
+      ++ids_[first];
+      if (r.hi - r.lo == 1) {
+        // A unary chain down to where the context ends.
+        size_t below = 0;
+        while (r.depth + below < depth_ &&
+               Key(first, r.depth + static_cast<uint32_t>(below)) !=
+                   kTextBoundary) {
+          ++below;
         }
+        ids_[first] += static_cast<PstNodeId>(below);
+        subtree->child_slots += below;
+        subtree->next_slots += below + 1;
+        subtree->next_entries += below + 1;
         continue;
-      }
-      if (r.node == kNoPstNode) {
-        ++ids_[first];
-        if (r.hi - r.lo == 1) {
-          // A unary chain down to where the context ends.
-          size_t below = 0;
-          while (r.depth + below < depth_ &&
-                 Key(first, r.depth + static_cast<uint32_t>(below)) !=
-                     kBoundary) {
-            ++below;
-          }
-          ids_[first] += static_cast<PstNodeId>(below);
-          subtree->child_slots += below;
-          subtree->next_slots += below + 1;
-          subtree->next_entries += below + 1;
-          continue;
-        }
       }
       const bool leaf = r.depth >= depth_;
       uint32_t ended = 0;
@@ -494,49 +369,27 @@ class Pst::BulkBuilder {
         next.Add(text_[p]);
         if (leaf) continue;
         const SymbolId key = Key(p, r.depth);
-        if (key == kBoundary) {
+        if (key == kTextBoundary) {
           ++ended;
         } else {
           keys.Add(key);
         }
       }
-      // The node's lists as they stand (none for a new node) and what the
-      // range adds to them.
-      ListRef had_next;
-      ListRef had_children;
-      if (r.node != kNoPstNode) {
-        had_next = pst_.nodes_[r.node].next;
-        had_children = pst_.nodes_[r.node].children;
-      }
-      const auto old_next = pst_.next_.View(had_next);
-      size_t added = 0;
-      for (SymbolId s : next.Distinct()) {
-        if (FindEntry(old_next, s) == nullptr) ++added;
-      }
-      subtree->next_entries += added;
-      subtree->next_slots += FreshSlots(had_next.size, had_next.size + added);
+      subtree->next_slots += std::bit_ceil(next.NumDistinct());
+      subtree->next_entries += next.NumDistinct();
       next.Reset();
       if (keys.NumDistinct() == 0) continue;
-      const auto sorted = keys.Sorted();
-      const auto old_children = pst_.children_.View(had_children);
-      added = 0;
-      for (SymbolId key : sorted) {
-        const auto* entry = FindEntry(old_children, key);
-        child[key] = entry != nullptr ? entry->second : kNoPstNode;
-        if (entry == nullptr) ++added;
-      }
-      subtree->child_slots +=
-          FreshSlots(had_children.size, had_children.size + added);
-      if (sorted.size() == 1 && ended == 0) {
-        stack.push_back({r.depth + 1, r.lo, r.hi, child[sorted[0]]});
+      subtree->child_slots += std::bit_ceil(keys.NumDistinct());
+      if (keys.NumDistinct() == 1 && ended == 0) {
+        stack.push_back({r.depth + 1, r.lo, r.hi});
         keys.Reset();
         continue;
       }
       // Ended positions first, then one run per key in ascending order.
       uint32_t at = r.lo + ended;
-      for (SymbolId key : sorted) {
+      for (SymbolId key : keys.Sorted()) {
         cursor[key] = at;
-        stack.push_back({r.depth + 1, at, at + keys.Count(key), child[key]});
+        stack.push_back({r.depth + 1, at, at + keys.Count(key)});
         at += keys.Count(key);
       }
       keys.Reset();
@@ -544,7 +397,7 @@ class Pst::BulkBuilder {
       for (uint32_t i = r.lo; i < r.hi; ++i) {
         const uint32_t p = order_[i];
         const SymbolId key = Key(p, r.depth);
-        scratch_[key == kBoundary ? ended_at++ : cursor[key]++] = p;
+        scratch_[key == kTextBoundary ? ended_at++ : cursor[key]++] = p;
       }
       std::copy(scratch_.begin() + r.lo, scratch_.begin() + r.hi,
                 order_.begin() + r.lo);
@@ -552,11 +405,10 @@ class Pst::BulkBuilder {
   }
 
   // Turns the created-node counts into each position's first node id (the
-  // loop numbers new nodes in the order positions create them, after the
-  // existing ones) and returns the node count. Pass 2 then takes a
-  // position's ids in turn.
+  // loop numbers nodes in the order positions create them) and returns the
+  // node count. Pass 2 then takes a position's ids in turn.
   size_t AssignIds() {
-    PstNodeId next_id = base_id_;
+    PstNodeId next_id = kPstRoot + 1;
     for (PstNodeId& id : ids_) {
       const PstNodeId created = id;
       id = next_id;
@@ -565,32 +417,18 @@ class Pst::BulkBuilder {
     return next_id;
   }
 
-  // Sizes the arena, appends the fresh blocks to the pools, adds the batch
-  // to the root, and gives each subtree its share of the fresh blocks.
+  // Sizes the arena and the pools, writes the root, and gives each subtree
+  // its block range in both pools.
   void PlaceRoot(size_t num_nodes) {
     Pst& pst = pst_;
-    num_nodes_ = num_nodes;
-    const Node root_before = pst.nodes_[kPstRoot];
-    ResizeKeeping(pst.nodes_, replace_ ? 0 : base_id_, num_nodes);
-    Node& root = pst.nodes_[kPstRoot];
-    root = root_before;
-
-    std::vector<KeyRun> runs;
-    for (const Subtree& subtree : subtrees_) {
-      runs.push_back({subtree.symbol, subtree.lo, subtree.hi});
-    }
-    size_t new_children = 0;
-    for (const Subtree& subtree : subtrees_) {
-      if (subtree.node == kNoPstNode) ++new_children;
-    }
-    size_t added = 0;
-    for (SymbolId s : root_next_.Distinct()) {
-      if (FindEntry(pst.Next(root), s) == nullptr) ++added;
-    }
+    ResizeForOverwrite(pst.nodes_, num_nodes);
+    pst.free_list_.clear();
+    size_t root_next = 0;
+    for (uint64_t n : root_next_) root_next += n > 0 ? 1 : 0;
     size_t child_total =
-        FreshSlots(root.children.size, root.children.size + new_children);
-    size_t next_total = FreshSlots(root.next.size, root.next.size + added);
-    size_t next_entries = added;
+        subtrees_.empty() ? 0 : std::bit_ceil(subtrees_.size());
+    size_t next_total = root_next == 0 ? 0 : std::bit_ceil(root_next);
+    size_t next_entries = root_next;
     for (Subtree& subtree : subtrees_) {
       subtree.child_at = child_total;
       subtree.next_at = next_total;
@@ -598,113 +436,24 @@ class Pst::BulkBuilder {
       next_total += subtree.next_slots;
       next_entries += subtree.next_entries;
     }
-    const size_t child_base = pst.children_.Extend(child_total, replace_);
-    const size_t next_base = pst.next_.Extend(next_total, replace_);
-    children_ = pst.children_.Slots();
-    next_ = pst.next_.Slots();
-    for (Subtree& subtree : subtrees_) {
-      subtree.child_at += child_base;
-      subtree.next_at += next_base;
-    }
+    children_ = pst.children_.Carve(child_total);
+    next_ = pst.next_.Carve(next_total);
 
-    root.count += num_positions_;
-    size_t fresh = next_base;
-    std::vector<SymbolId> missing;
-    MergeNext(&root.next, root_next_, &missing, &fresh, &root_freed_.next);
-    fresh = child_base;
-    MergeChildren(&root.children, runs, &fresh, &root_freed_.children);
-    for (size_t i = 0; i < subtrees_.size(); ++i) {
-      subtrees_[i].slot = runs[i].slot;
-    }
-    const size_t created = num_nodes - base_id_;
-    pst.live_nodes_ += created;
-    pst.approx_bytes_ += created * (kNodeBytes + kChildEntryBytes) +
-                         next_entries * kNextEntryBytes;
-  }
-
-  // Sets `list` to hold `size` entries: in its own block while they fit,
-  // else in a fresh block of bit_ceil(size) slots at *fresh, leaving the
-  // old block in `freed`. Returns where the entries go; the old ones stay
-  // where they were for the caller to merge from.
-  static size_t Grow(ListRef* list, size_t size, size_t* fresh,
-                     std::vector<Block>* freed) {
-    const size_t slots = FreshSlots(list->size, size);
-    if (slots > 0) {
-      if (list->size > 0) {
-        freed->push_back({list->at, std::bit_ceil(list->size)});
-      }
-      list->at = static_cast<uint32_t>(*fresh);
-      *fresh += slots;
-    }
-    list->size = static_cast<uint32_t>(size);
-    return list->at;
-  }
-
-  // Adds the tallied next symbols to the next-symbol list `list`. Counts
-  // of symbols the list has are added in place; the others (`missing`,
-  // scratch) are merged in from the back, so a list growing inside its own
-  // block never overwrites an entry before reading it.
-  void MergeNext(ListRef* list, SymbolTally& tally,
-                 std::vector<SymbolId>* missing, size_t* fresh,
-                 std::vector<Block>* freed) {
-    const ListRef had = *list;
-    const std::span<NextEntry> old = next_.subspan(had.at, had.size);
-    missing->clear();
-    for (SymbolId s : tally.Sorted()) {
-      NextEntry* entry = FindEntry(old, s);
-      if (entry != nullptr) {
-        entry->second += tally.Count(s);
-      } else {
-        missing->push_back(s);
+    Node& root = pst.nodes_[kPstRoot];
+    root = Node();
+    root.count = num_positions_;
+    root.next = {0, static_cast<uint32_t>(root_next)};
+    size_t at = 0;
+    for (size_t s = 0; s < root_next_.size(); ++s) {
+      if (root_next_[s] > 0) {
+        next_[at++] = {static_cast<SymbolId>(s), root_next_[s]};
       }
     }
-    if (missing->empty()) return;
-    NextEntry* out =
-        next_.data() + Grow(list, had.size + missing->size(), fresh, freed);
-    size_t i = had.size;
-    size_t j = missing->size();
-    for (size_t k = list->size; k > 0;) {
-      if (j == 0 && out == old.data()) break;  // The rest is in place.
-      if (j > 0 && (i == 0 || old[i - 1].first < (*missing)[j - 1])) {
-        const SymbolId s = (*missing)[--j];
-        out[--k] = {s, tally.Count(s)};
-      } else {
-        out[--k] = old[--i];
-      }
-    }
-  }
-
-  // Adds the runs' keys (ascending) to the children list `list`. A run
-  // whose node the list has gets that node; a new one gets the slot that
-  // Place fills with the new node's entry.
-  void MergeChildren(ListRef* list, std::span<KeyRun> runs, size_t* fresh,
-                     std::vector<Block>* freed) {
-    const ListRef had = *list;
-    const std::span<ChildEntry> old = children_.subspan(had.at, had.size);
-    size_t added = 0;
-    for (KeyRun& run : runs) {
-      const ChildEntry* entry = FindEntry(old, run.key);
-      if (entry != nullptr) {
-        run.node = entry->second;
-      } else {
-        ++added;
-      }
-    }
-    if (added == 0) return;
-    const size_t at = Grow(list, had.size + added, fresh, freed);
-    ChildEntry* out = children_.data() + at;
-    size_t i = had.size;
-    size_t j = runs.size();
-    for (size_t k = list->size; k > 0;) {
-      if (j == 0 && out == old.data()) break;  // The rest is in place.
-      if (j > 0 && runs[j - 1].node == kNoPstNode &&
-          (i == 0 || old[i - 1].first < runs[j - 1].key)) {
-        runs[--j].slot = at + --k;
-      } else {
-        if (j > 0 && old[i - 1].first == runs[j - 1].key) --j;
-        out[--k] = old[--i];
-      }
-    }
+    root.children = {0, static_cast<uint32_t>(subtrees_.size())};
+    pst.live_nodes_ = num_nodes;
+    pst.approx_bytes_ = num_nodes * kNodeBytes +
+                        (num_nodes - 1) * kChildEntryBytes +
+                        next_entries * kNextEntryBytes;
   }
 
   // Gives the node of range `r` created at position `creator` its id, and
@@ -722,56 +471,29 @@ class Pst::BulkBuilder {
     return node;
   }
 
-  // Pass 2 over one subtree (the index-th depth-1 range): every range is
-  // already partitioned, so each child's range is a run of equal keys.
-  // Writes the new nodes, updates the existing ones, and carves the fresh
-  // list blocks from the subtree's share.
+  // Pass 2 over one subtree (the index-th child of the root): every range
+  // is already partitioned, so each child's range is a run of equal keys.
+  // Writes the nodes and lists into the subtree's blocks.
   void Emit(size_t index) {
-    Subtree& subtree = subtrees_[index];
+    const Subtree& subtree = subtrees_[index];
     SymbolTally next(pst_.alphabet_size_);
-    std::vector<SymbolId> missing;
-    std::vector<KeyRun> runs;
     size_t child_at = subtree.child_at;
     size_t next_at = subtree.next_at;
-    std::vector<Range> stack = {
-        {1, subtree.lo, subtree.hi, subtree.node, kPstRoot, subtree.slot}};
+    std::vector<Range> stack = {{1, subtree.lo, subtree.hi, kPstRoot, index}};
     while (!stack.empty()) {
       Range r = stack.back();
       stack.pop_back();
-      PstNodeId id = r.node;
-      if (id != kNoPstNode && r.hi - r.lo == 1) {
-        // One position down the existing tree, to where its context ends
-        // or leaves the tree.
-        const uint32_t p = order_[r.lo];
-        for (;; ++r.depth) {
-          Node& node = pst_.nodes_[id];
-          ++node.count;
-          next.Add(text_[p]);
-          MergeNext(&node.next, next, &missing, &next_at, &subtree.freed.next);
-          next.Reset();
-          if (r.depth >= depth_ || Key(p, r.depth) == kBoundary) break;
-          runs.assign(1, {Key(p, r.depth), r.lo, r.hi});
-          MergeChildren(&node.children, runs, &child_at,
-                        &subtree.freed.children);
-          if (runs[0].node == kNoPstNode) {
-            stack.push_back(
-                {r.depth + 1, r.lo, r.hi, kNoPstNode, id, runs[0].slot});
-            break;
-          }
-          id = runs[0].node;
-        }
-        continue;
-      }
-      if (id == kNoPstNode && r.hi - r.lo == 1) {
+      PstNodeId id;
+      if (r.hi - r.lo == 1) {
         // A unary chain: one count and one next symbol per node.
         const uint32_t p = order_[r.lo];
         for (;;) {
           Node& node = Place(r, p, &id);
           node.next = {static_cast<uint32_t>(next_at), 1};
           next_[next_at++] = {text_[p], 1};
-          if (r.depth >= depth_ || Key(p, r.depth) == kBoundary) break;
+          if (r.depth >= depth_ || Key(p, r.depth) == kTextBoundary) break;
           node.children = {static_cast<uint32_t>(child_at), 1};
-          r = {r.depth + 1, r.lo, r.hi, kNoPstNode, id, child_at++};
+          r = {r.depth + 1, r.lo, r.hi, id, child_at++};
         }
         continue;
       }
@@ -780,107 +502,67 @@ class Pst::BulkBuilder {
         next.Add(text_[order_[i]]);
         creator = std::min(creator, order_[i]);
       }
-      Node* node;
-      if (id == kNoPstNode) {
-        node = &Place(r, creator, &id);
-      } else {
-        node = &pst_.nodes_[id];
-        node->count += r.hi - r.lo;
-      }
-      MergeNext(&node->next, next, &missing, &next_at, &subtree.freed.next);
+      Node& node = Place(r, creator, &id);
+      const auto symbols = next.Sorted();
+      node.next = {static_cast<uint32_t>(next_at),
+                   static_cast<uint32_t>(symbols.size())};
+      for (SymbolId s : symbols) next_[next_at++] = {s, next.Count(s)};
+      next_at += std::bit_ceil(symbols.size()) - symbols.size();
       next.Reset();
       if (r.depth >= depth_) continue;
-      runs.clear();
+      const size_t first_child = child_at;
       for (uint32_t i = r.lo; i < r.hi;) {
         const SymbolId key = Key(order_[i], r.depth);
         uint32_t end = i + 1;
         while (end < r.hi && Key(order_[end], r.depth) == key) ++end;
-        if (key != kBoundary) runs.push_back({key, i, end});
+        if (key != kTextBoundary) {
+          stack.push_back({r.depth + 1, i, end, id, child_at++});
+        }
         i = end;
       }
-      if (runs.empty()) continue;
-      MergeChildren(&node->children, runs, &child_at, &subtree.freed.children);
-      for (const KeyRun& run : runs) {
-        stack.push_back({r.depth + 1, run.lo, run.hi, run.node, id, run.slot});
-      }
+      const size_t num_children = child_at - first_child;
+      if (num_children == 0) continue;
+      node.children = {static_cast<uint32_t>(first_child),
+                       static_cast<uint32_t>(num_children)};
+      child_at += std::bit_ceil(num_children) - num_children;
     }
-  }
-
-  void FreeMovedBlocks() {
-    const auto free = [&](const Freed& freed) {
-      for (const Block& b : freed.children) {
-        pst_.children_.Free(b.at, b.capacity);
-      }
-      for (const Block& b : freed.next) pst_.next_.Free(b.at, b.capacity);
-    };
-    free(root_freed_);
-    for (const Subtree& subtree : subtrees_) free(subtree.freed);
   }
 
   Pst& pst_;
   const size_t depth_;
-  const bool replace_;
   const std::vector<SymbolId> text_;
-  PstNodeId base_id_ = kPstRoot + 1;  // The first new node's id.
-  size_t num_nodes_ = 0;
   // Pass 1: nodes each position creates; then the id its next one gets.
   std::vector<PstNodeId> ids_;
   std::vector<uint32_t> order_;    // Positions, partitioned in place.
   std::vector<uint32_t> scratch_;  // Partition buffer, parallel to order_.
-  SymbolTally root_next_;
+  std::vector<uint64_t> root_next_;
   std::vector<Subtree> subtrees_;
-  Freed root_freed_;
   uint64_t num_positions_ = 0;
   std::span<ChildEntry> children_;
   std::span<NextEntry> next_;
 };
 
-bool Pst::InsertInBulk(std::span<const std::span<const SymbolId>> segments,
-                       size_t num_threads, bool replace) {
-  // Positions are addressed by uint32_t offsets into one text, and the
-  // dense tallies need every symbol inside the alphabet. Anything else, any
-  // memory budget (whose pruning depends on insertion order) and free node
-  // ids (which the loop hands out before new ones) take the loop.
-  if (options_.max_memory_bytes > 0 || (!replace && !free_list_.empty())) {
-    return false;
+void Pst::Build(std::span<const std::span<const SymbolId>> segments,
+                size_t num_threads) {
+  // A memory budget's pruning depends on insertion order, and segments the
+  // partition cannot take (PartitionText) take the insertion loop too.
+  std::optional<std::vector<SymbolId>> text;
+  if (options_.max_memory_bytes == 0) {
+    text = PartitionText(segments, alphabet_size_);
   }
-  size_t text_size = 0;
-  for (const auto segment : segments) {
-    text_size += segment.size() + 1;
-    if (!std::all_of(segment.begin(), segment.end(),
-                     [&](SymbolId s) { return s < alphabet_size_; })) {
-      return false;
-    }
+  if (!text) {
+    Clear();
+    for (const auto segment : segments) InsertSequence(segment);
+    return;
   }
-  if (text_size >= std::numeric_limits<uint32_t>::max()) return false;
-  std::vector<SymbolId> text;
-  text.reserve(text_size);
-  for (const auto segment : segments) {
-    text.push_back(kBoundary);
-    text.insert(text.end(), segment.begin(), segment.end());
-  }
-  BulkBuilder builder(this, std::move(text), replace);
+  BulkBuilder builder(this, std::move(*text));
   builder.Run(num_threads);
   static obs::Counter& insert_symbols =
       obs::MetricsRegistry::Get().GetCounter("pst.insert_symbols");
   static obs::Counter& created =
       obs::MetricsRegistry::Get().GetCounter("pst.nodes_created");
   insert_symbols.Add(builder.num_positions());
-  created.Add(builder.nodes_created());
-  return true;
-}
-
-void Pst::InsertSequences(std::span<const std::span<const SymbolId>> segments,
-                          size_t num_threads) {
-  if (InsertInBulk(segments, num_threads, /*replace=*/false)) return;
-  for (const auto segment : segments) InsertSequence(segment);
-}
-
-void Pst::Build(std::span<const std::span<const SymbolId>> segments,
-                size_t num_threads) {
-  if (InsertInBulk(segments, num_threads, /*replace=*/true)) return;
-  Clear();
-  for (const auto segment : segments) InsertSequence(segment);
+  created.Add(live_nodes_ - 1);
 }
 
 PstNodeId Pst::PredictionNode(std::span<const SymbolId> context) const {
@@ -910,22 +592,24 @@ PstNodeId Pst::DeepestExistingNode(std::span<const SymbolId> context) const {
   return cur;
 }
 
-double Pst::NodeProbability(PstNodeId id, SymbolId next) const {
-  const Node& node = nodes_[id];
+double Pst::Probability(uint64_t next_count, uint64_t count,
+                        size_t alphabet_size, double p_min) {
   double raw;
-  if (node.count == 0) {
-    raw = alphabet_size_ > 0 ? 1.0 / static_cast<double>(alphabet_size_) : 0.0;
+  if (count == 0) {
+    raw = alphabet_size > 0 ? 1.0 / static_cast<double>(alphabet_size) : 0.0;
   } else {
-    const auto* entry = FindEntry(Next(node), next);
-    raw = entry == nullptr
-              ? 0.0
-              : static_cast<double>(entry->second) /
-                    static_cast<double>(node.count);
+    raw = static_cast<double>(next_count) / static_cast<double>(count);
   }
-  const double p_min = options_.smoothing_p_min;
   if (p_min <= 0.0) return raw;
   // Adjusted probability estimation (paper §5.2).
-  return (1.0 - static_cast<double>(alphabet_size_) * p_min) * raw + p_min;
+  return (1.0 - static_cast<double>(alphabet_size) * p_min) * raw + p_min;
+}
+
+double Pst::NodeProbability(PstNodeId id, SymbolId next) const {
+  const Node& node = nodes_[id];
+  const auto* entry = FindEntry(Next(node), next);
+  return Probability(entry == nullptr ? 0 : entry->second, node.count,
+                     alphabet_size_, options_.smoothing_p_min);
 }
 
 double Pst::ConditionalProbability(std::span<const SymbolId> context,

@@ -16,29 +16,28 @@
 // to a bounded depth L (`max_depth`), which is exactly the short-memory
 // premise of the paper: no query ever looks at more than the last L symbols.
 // There are two construction paths, and both produce the same tree:
-//   * InsertSequences (and Build, which is Clear() followed by it, reusing
-//     the old storage) adds a batch of segments in bulk. The result is
-//     exactly what InsertSequence of each segment in order would give,
-//     down to the node ids, list order, NumNodes() and ApproxMemoryBytes().
-//     Instead of walking pointers it stably partitions the new positions by
-//     context symbol, one depth at a time, one task per root subtree (a
-//     position's last context symbol). While a range's context is already
-//     in the tree, its node takes the range's count and next symbols, and
-//     a list that outgrows its block moves to a fresh one. Below the
-//     existing tree the loop creates a node at the first position whose
-//     context reaches it, and under a stable partition that is the first
-//     position of the node's range, so a first pass counts the nodes each
-//     position creates, a prefix sum from NumNodes() turns the counts into
-//     each position's first id, and a second pass writes every node and
-//     list in place. Scratch memory is O(new positions); the result does
-//     not depend on the thread count. The per-iteration rebuild, the
-//     join's absorbs and checkpoint resume use it.
-//   * InsertSequence adds one sequence, walking each position's context
-//     from the root (O(l · L) for length l). Seeding, §4.2 within-scan
-//     joins and trained-once trees use it, and the bulk path falls back to
-//     it under a memory budget (§5.1 pruning depends on insertion order),
-//     after pruning has left reusable node ids, and for symbols outside
-//     the alphabet or batches past uint32 offsets.
+//   * InsertSequence adds one sequence to the tree as it stands, walking
+//     each position's context from the root (O(l · L) for length l).
+//     Seeding, §4.2 within-scan joins, joins under a memory budget and
+//     trained-once trees use it.
+//   * Build replaces the tree with what Clear() followed by InsertSequence
+//     of each segment in order would produce, down to the node ids, list
+//     order, NumNodes() and ApproxMemoryBytes(). Instead of walking
+//     pointers it stably partitions the positions by context symbol, one
+//     depth at a time, one task per root subtree (a position's last context
+//     symbol). The loop creates a node at the first position whose context
+//     reaches it, and under a stable partition that is the first position
+//     of the node's range, so a first pass counts the nodes each position
+//     creates, a prefix sum turns the counts into each position's first id,
+//     and a second pass writes every node and list in place. Scratch memory
+//     is O(positions); the result does not depend on the thread count. With
+//     a memory budget Build runs the insertion loop, because §5.1 pruning
+//     depends on insertion order. The live-tree rebuild and the tree a
+//     compiled-mode cluster builds on request (core/cluster.h) use it.
+// A batch-mode clusterer without a memory budget builds no tree at all: it
+// compiles each cluster's scoring automaton straight from the segments
+// (FrozenPst::Compile, pst/frozen_pst.h) with the same partition, stopped
+// at the contexts that count fewer than c positions.
 //
 // Querying P(s_i | s_1…s_{i-1}) walks from the root along s_{i-1}, s_{i-2},…
 // while the next node exists and is *significant* (count ≥ c); the node
@@ -158,16 +157,12 @@ class Pst {
     InsertSequence(std::span<const SymbolId>(seq.symbols()));
   }
 
-  /// Adds `segments` exactly as InsertSequence of each, in order, would:
-  /// the same node ids, parents, edges, depths, counts, children and
-  /// next-symbol lists, NumNodes(), ApproxMemoryBytes() and metrics
-  /// counters. Runs on up to `num_threads` workers (0 = all); the result
-  /// does not depend on the count.
-  void InsertSequences(std::span<const std::span<const SymbolId>> segments,
-                       size_t num_threads);
-
-  /// Clear() followed by InsertSequences(segments, num_threads), reusing
-  /// the tree's storage without resetting it.
+  /// Replaces the tree's contents with exactly what Clear() followed by
+  /// InsertSequence(s) for each of `segments`, in order, produces: the same
+  /// node ids, parents, edges, depths, counts, children and next-symbol
+  /// lists, NumNodes(), ApproxMemoryBytes() and metrics counters. Runs on
+  /// up to `num_threads` workers (0 = all); the result does not depend on
+  /// the count.
   void Build(std::span<const std::span<const SymbolId>> segments,
              size_t num_threads);
 
@@ -192,6 +187,18 @@ class Pst {
 
   /// Raw (optionally smoothed) probability of `next` at a specific node.
   double NodeProbability(PstNodeId id, SymbolId next) const;
+
+  /// NodeProbability's arithmetic for a node that counts `count` positions,
+  /// `next_count` of them followed by the symbol, over an alphabet of
+  /// `alphabet_size` symbols with the tree's (clamped) smoothing `p_min`.
+  /// The one definition, so that every model compiled from the counts
+  /// scores bit for bit like the live tree.
+  static double Probability(uint64_t next_count, uint64_t count,
+                            size_t alphabet_size, double p_min);
+
+  /// `options` as a tree over `alphabet_size` symbols holds them: the
+  /// smoothing p_min clamped so that alphabet_size · p_min < 1.
+  static PstOptions EffectiveOptions(size_t alphabet_size, PstOptions options);
 
   /// log P_S(σ): sum of log conditional probabilities over the whole string
   /// (each position conditioned on its preceding context).
@@ -258,9 +265,9 @@ class Pst {
   using NextEntry = std::pair<SymbolId, uint64_t>;
 
   // Leaves the elements a vector grows by unconstructed (the storage's
-  // elements are all trivially copyable), so resizing for the bulk path
-  // does not write, and fault in, every new page on one thread: the
-  // workers that fill the elements do.
+  // elements are all trivially copyable), so resizing for Build does not
+  // write, and fault in, every new page on one thread: the workers that
+  // fill the elements do.
   template <typename T>
   struct UninitializedAllocator : std::allocator<T> {
     template <typename U>
@@ -308,18 +315,15 @@ class Pst {
     void Release(ListRef& list);
     // Drops every block, keeping capacity.
     void Clear();
-    // Appends `size` slots, with stale contents, for a bulk insert to carve
-    // into blocks and fill itself, and returns the first. With `reset`,
-    // every block is dropped first and the old slots are reused as they
-    // are.
-    uint32_t Extend(size_t size, bool reset);
-    std::span<Entry> Slots() { return slots_; }
-    // Puts a block of `capacity` slots on its free list.
-    void Free(uint32_t at, uint32_t capacity);
+    // Drops every block, keeping capacity, and returns `size` contiguous
+    // slots, with stale contents, for a bulk build to carve into blocks and
+    // fill itself.
+    std::span<Entry> Carve(size_t size);
     size_t CapacityBytes() const;
 
    private:
     uint32_t Allocate(uint32_t capacity);
+    void Free(uint32_t at, uint32_t capacity);
 
     Storage<Entry> slots_;
     std::vector<std::vector<uint32_t>> free_;
@@ -335,13 +339,8 @@ class Pst {
     ListRef next;      // In next_, sorted by symbol.
   };
 
-  // The bulk path's two partition passes (pst.cc).
+  // Build's two partition passes (pst.cc).
   class BulkBuilder;
-
-  // Runs the bulk path, first clearing the tree if `replace`. False, with
-  // the tree untouched, when the segments must take the insertion loop.
-  bool InsertInBulk(std::span<const std::span<const SymbolId>> segments,
-                    size_t num_threads, bool replace);
 
   std::span<const NextEntry> Next(const Node& node) const {
     return next_.View(node.next);

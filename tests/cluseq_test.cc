@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -265,9 +266,10 @@ TEST(CluseqTest, MultithreadedMatchesSingleThreaded) {
 }
 
 TEST(CluseqBulkJoinTest, EveryTreeIsItsContributionsInsertedInOrder) {
-  // Whole-run oracle for the bulk tree paths (the rebuild's Build and the
-  // join's InsertSequences): after Run(), every cluster's tree hashes like
-  // the insertion loop replaying its contributions in order.
+  // Whole-run oracle for compiled clusters, which keep only their
+  // contributions: after Run(), every cluster's snapshot is byte for byte
+  // the freeze of the insertion loop's tree over its contributions in
+  // order, and the tree pst() builds on request hashes like that tree.
   SyntheticDatasetOptions data;
   data.num_clusters = 4;
   data.sequences_per_cluster = 40;
@@ -296,6 +298,20 @@ TEST(CluseqBulkJoinTest, EveryTreeIsItsContributionsInsertedInOrder) {
             db.Symbols(s).subspan(seg.begin, seg.end - seg.begin));
       }
       contributions += cluster.contributions().size();
+      ASSERT_TRUE(cluster.compiled());
+      ASSERT_TRUE(cluster.frozen_fresh());
+      const FrozenPst frozen(replay, clusterer.background());
+      const FrozenPst& compiled = *cluster.frozen();
+      ASSERT_EQ(compiled.num_states(), frozen.num_states());
+      EXPECT_TRUE(std::equal(compiled.transition_table().begin(),
+                             compiled.transition_table().end(),
+                             frozen.transition_table().begin()))
+          << "cluster " << cluster.id() << ", " << threads << " threads";
+      EXPECT_EQ(std::memcmp(compiled.log_ratio_table().data(),
+                            frozen.log_ratio_table().data(),
+                            frozen.log_ratio_table().size_bytes()),
+                0)
+          << "cluster " << cluster.id() << ", " << threads << " threads";
       EXPECT_EQ(pst_test::CheckedHash(cluster.pst()),
                 pst_test::CheckedHash(replay))
           << "cluster " << cluster.id() << ", " << threads << " threads";

@@ -1,8 +1,11 @@
 #include "core/cluster.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "pst_digest.h"
+#include "seq/background_model.h"
 #include "seq/sequence_database.h"
 
 namespace cluseq {
@@ -119,6 +122,51 @@ TEST(ClusterTest, RebuildFromNothingClearsStatisticsAndAbsorptions) {
   // Absorption works again after reset.
   c.AbsorbSegment(0, std::vector<SymbolId>{0, 1});
   EXPECT_EQ(c.pst().total_symbols(), 2u);
+}
+
+TEST(ClusterTest, CompiledClusterMatchesALiveOne) {
+  // Same contributions, same summary: a compiled cluster's snapshot is the
+  // live tree's freeze byte for byte, and its tree, built on request,
+  // hashes like the live one and follows every later change.
+  SequenceDatabase db(Alphabet::Synthetic(3));
+  db.Add(Sequence({0, 1, 2, 0, 1, 2, 2, 1, 0, 1, 2}));
+  db.Add(Sequence({2, 2, 1, 0, 1, 0, 2}));
+  db.Add(Sequence({1, 0, 1, 0, 2, 1, 0}));
+  const BackgroundModel background = BackgroundModel::FromDatabase(db);
+  Cluster live(0, 3, Opts());
+  Cluster compiled(0, db, Opts());
+  ASSERT_FALSE(live.compiled());
+  ASSERT_TRUE(compiled.compiled());
+  const auto expect_same = [&](const char* step) {
+    EXPECT_EQ(compiled.contributions(), live.contributions()) << step;
+    EXPECT_EQ(compiled.num_symbols(), live.pst().total_symbols()) << step;
+    const auto a = compiled.Snapshot(background, 2);
+    const auto b = live.Snapshot(background, 2);
+    ASSERT_EQ(a->num_states(), b->num_states()) << step;
+    EXPECT_TRUE(std::equal(a->transition_table().begin(),
+                           a->transition_table().end(),
+                           b->transition_table().begin()))
+        << step;
+    EXPECT_TRUE(std::equal(a->log_ratio_table().begin(),
+                           a->log_ratio_table().end(),
+                           b->log_ratio_table().begin()))
+        << step;
+    EXPECT_EQ(pst_test::CheckedHash(compiled.pst()),
+              pst_test::CheckedHash(live.pst()))
+        << step;
+  };
+  for (Cluster* c : {&live, &compiled}) c->Seed(db.Symbols(1), 1);
+  expect_same("seed");
+  for (Cluster* c : {&live, &compiled}) {
+    c->AbsorbSegment(0, db.Symbols(0), 2, 9);
+    c->AbsorbSegment(2, db.Symbols(2), 0, 7);
+  }
+  expect_same("absorb");
+  using Entry = std::pair<size_t, Cluster::Segment>;
+  const std::vector<Entry> contributions = {{2, {1, 6}}, {0, {0, 11}}};
+  for (Cluster* c : {&live, &compiled}) c->Rebuild(contributions, db, 2);
+  EXPECT_TRUE(compiled.pst_dirty());
+  expect_same("rebuild");
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 // (which makes tree pruning insertion-order dependent, the hardest case).
 
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,19 +51,36 @@ CluseqOptions BaseOptions() {
   return o;
 }
 
+template <typename T>
+bool SameBytes(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
 // Runs the clusterer at each thread count and asserts the results are
 // exactly equal: member sets, per-sequence best cluster, best_log_sim
-// bit-for-bit, iteration trajectory, and final threshold.
+// bit-for-bit, iteration trajectory, final threshold, and the final
+// clusters' snapshots byte for byte.
 void ExpectThreadCountInvariant(const SequenceDatabase& db,
                                 CluseqOptions options) {
   options.num_threads = 1;
+  CluseqClusterer serial(db, options);
   ClusteringResult reference;
-  ASSERT_TRUE(RunCluseq(db, options, &reference).ok());
+  ASSERT_TRUE(serial.Run(&reference).ok());
 
   for (size_t threads : {2u, 7u}) {
     options.num_threads = threads;
+    CluseqClusterer clusterer(db, options);
     ClusteringResult result;
-    ASSERT_TRUE(RunCluseq(db, options, &result).ok());
+    ASSERT_TRUE(clusterer.Run(&result).ok());
+    ASSERT_EQ(serial.clusters().size(), clusterer.clusters().size());
+    for (size_t ci = 0; ci < serial.clusters().size(); ++ci) {
+      const FrozenPst& a = *serial.clusters()[ci].frozen();
+      const FrozenPst& b = *clusterer.clusters()[ci].frozen();
+      EXPECT_TRUE(SameBytes(a.transition_table(), b.transition_table()) &&
+                  SameBytes(a.log_ratio_table(), b.log_ratio_table()))
+          << "cluster " << ci << " at " << threads << " threads";
+    }
     EXPECT_EQ(reference.clusters, result.clusters) << threads << " threads";
     EXPECT_EQ(reference.best_cluster, result.best_cluster)
         << threads << " threads";
@@ -86,6 +105,10 @@ void ExpectThreadCountInvariant(const SequenceDatabase& db,
       EXPECT_EQ(a.refrozen_clusters, b.refrozen_clusters)
           << "iteration " << it;
       EXPECT_EQ(a.pst_nodes_total, b.pst_nodes_total) << "iteration " << it;
+      EXPECT_EQ(a.frozen_states_total, b.frozen_states_total)
+          << "iteration " << it;
+      EXPECT_EQ(a.frozen_bytes_total, b.frozen_bytes_total)
+          << "iteration " << it;
     }
   }
 }

@@ -3,13 +3,16 @@
 // Hashes every live node — (id, parent, edge symbol, depth, count,
 // children, next counts) in id order — together with NumNodes() and
 // ApproxMemoryBytes(), so two trees hash alike only if they agree on node
-// ids, list order and the §5.1 byte accounting.
+// ids, list order and the §5.1 byte accounting. A corrupted tree (a cycle
+// in its child lists, or more reachable nodes than NumNodes()) fails the
+// calling test.
 
 #ifndef CLUSEQ_TESTS_PST_DIGEST_H_
 #define CLUSEQ_TESTS_PST_DIGEST_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,12 +24,6 @@ namespace cluseq {
 namespace pst_test {
 
 using Symbols = std::vector<SymbolId>;
-
-struct NodeRecord {
-  bool live = false;
-  PstNodeId parent = kNoPstNode;
-  SymbolId edge = kInvalidSymbol;
-};
 
 struct TreeDigest {
   uint64_t hash = 0;
@@ -48,27 +45,48 @@ class Fnv {
   uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-inline TreeDigest Digest(const Pst& pst) {
-  // Live nodes are exactly those reachable from the root.
-  std::vector<NodeRecord> records(1);
-  records[kPstRoot].live = true;
+// Takes any tree with Pst's read accessors, so a test can hand it a
+// corrupted one.
+template <typename Tree>
+TreeDigest Digest(const Tree& pst) {
+  // Live nodes are exactly those reachable from the root: (id, parent,
+  // edge). A child list that leads back to a node already reached, or to
+  // more nodes than the tree holds, fails the test here instead of making
+  // the walk loop or grow without bound.
+  struct Live {
+    PstNodeId id;
+    PstNodeId parent;
+    SymbolId edge;
+  };
+  std::vector<Live> live = {{kPstRoot, kNoPstNode, kInvalidSymbol}};
+  std::unordered_set<PstNodeId> reached = {kPstRoot};
   std::vector<PstNodeId> stack = {kPstRoot};
   while (!stack.empty()) {
     PstNodeId id = stack.back();
     stack.pop_back();
     for (const auto& [sym, child] : pst.Children(id)) {
-      if (records.size() <= child) records.resize(child + 1);
-      records[child] = {true, id, sym};
+      if (!reached.insert(child).second) {
+        ADD_FAILURE() << "node " << child << " is reached twice";
+        return {};
+      }
+      if (reached.size() > pst.NumNodes()) {
+        ADD_FAILURE() << "more than NumNodes() = " << pst.NumNodes()
+                      << " nodes are reachable";
+        return {};
+      }
+      live.push_back({child, id, sym});
       stack.push_back(child);
     }
   }
+  std::sort(live.begin(), live.end(),
+            [](const Live& a, const Live& b) { return a.id < b.id; });
   TreeDigest digest;
   Fnv fnv;
-  for (PstNodeId id = 0; id < records.size(); ++id) {
-    if (!records[id].live) continue;
+  for (const Live& node : live) {
+    const PstNodeId id = node.id;
     fnv.Add(id);
-    fnv.Add(records[id].parent);
-    fnv.Add(records[id].edge);
+    fnv.Add(node.parent);
+    fnv.Add(node.edge);
     fnv.Add(pst.NodeDepth(id));
     fnv.Add(pst.NodeCount(id));
     const auto children = pst.Children(id);

@@ -113,9 +113,15 @@ TEST(RunReportTest, RoundTripMatchesIterationStats) {
               static_cast<double>(expect.pst_nodes_total));
     EXPECT_EQ(stats->Find("pst_arena_bytes_total")->number,
               static_cast<double>(expect.pst_arena_bytes_total));
-    EXPECT_GT(expect.pst_arena_bytes_total, 0u);
+    // A batch-mode run without a memory budget keeps no live trees: what
+    // its clusters hold is their compiled snapshots.
+    EXPECT_EQ(expect.pst_nodes_total, 0u);
+    EXPECT_EQ(expect.pst_arena_bytes_total, 0u);
     EXPECT_EQ(stats->Find("frozen_states_total")->number,
               static_cast<double>(expect.frozen_states_total));
+    EXPECT_EQ(stats->Find("frozen_bytes_total")->number,
+              static_cast<double>(expect.frozen_bytes_total));
+    EXPECT_GT(expect.frozen_bytes_total, 0u);
     EXPECT_EQ(stats->Find("pst_pruned_total")->number,
               static_cast<double>(expect.pst_pruned_total));
     EXPECT_DOUBLE_EQ(stats->Find("seed_seconds")->number,
@@ -197,6 +203,33 @@ TEST(RunReportTest, RoundTripMatchesIterationStats) {
     EXPECT_NE(perf_summary->Find("cycles"), nullptr);
   } else {
     EXPECT_EQ(perf_summary->Find("cycles"), nullptr);
+  }
+}
+
+TEST(RunReportTest, LiveTreeRunsReportTheirTrees) {
+  // §4.2 within-scan mode and memory budgets keep live trees, and the
+  // per-iteration stats count their nodes and arena bytes.
+  SequenceDatabase db = SmallDb();
+  for (bool within_scan : {true, false}) {
+    CluseqOptions o = SmallOptions();
+    o.within_scan_updates = within_scan;
+    if (!within_scan) o.pst.max_memory_bytes = 64 * 1024;
+    ClusteringResult result;
+    ASSERT_TRUE(RunCluseq(db, o, &result).ok());
+    ASSERT_GT(result.iteration_stats.size(), 0u);
+    for (const IterationStats& stats : result.iteration_stats) {
+      EXPECT_GT(stats.pst_nodes_total, stats.clusters_after)
+          << "iteration " << stats.iteration;
+      EXPECT_GT(stats.pst_arena_bytes_total, 0u)
+          << "iteration " << stats.iteration;
+      // §4.2 mode scores against the live trees and may not freeze them
+      // until the run ends.
+      if (within_scan) continue;
+      EXPECT_GE(stats.frozen_states_total, stats.clusters_after)
+          << "iteration " << stats.iteration;
+      EXPECT_GT(stats.frozen_bytes_total, 0u)
+          << "iteration " << stats.iteration;
+    }
   }
 }
 

@@ -480,10 +480,10 @@ int RunCluster(CommonFlags& flags) {
     // baked in): the only served model artifact, and what classify reads.
     // Snapshots of one run share its alphabet and are never empty, so any
     // run with at least one cluster is bankable.
+    // Run() leaves every cluster's snapshot current.
     std::vector<std::shared_ptr<const FrozenPst>> snapshots;
     for (const Cluster& cluster : clusterer.clusters()) {
-      snapshots.push_back(std::make_shared<const FrozenPst>(
-          cluster.pst(), clusterer.background()));
+      snapshots.push_back(cluster.frozen());
     }
     if (snapshots.empty()) {
       std::fprintf(stderr, "cluseq: no clusters; --model-dir left empty\n");
@@ -731,7 +731,10 @@ void PrintUsage() {
                "  --prefilter=on skips clusters via admissible score bounds; "
                "outputs are\n"
                "  bit-for-bit identical to --prefilter=off (the exhaustive "
-               "oracle), just faster\n"
+               "oracle). It speeds\n"
+               "  up classify, where it skips most models; in the cluster "
+               "loop it skips few\n"
+               "  pairs and does not speed it up\n"
                "  --input/--out ending in .sqdb selects the indexed binary "
                "store (mmap-backed)\n"
                "  --threads=0 auto-detects the hardware thread count\n");
