@@ -1,10 +1,10 @@
 #include "core/cluseq.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <unordered_map>
 
@@ -56,6 +56,62 @@ void ScheduleClusterWork(std::span<const size_t> clusters,
       shared.size(), threads,
       [&](size_t i) -> uint64_t { return symbols[shared[i]]; },
       [&](size_t i) { work(shared[i], 1); });
+}
+
+// Symbols per tile of the cluster-major scans. A tile scores one chunk of
+// sequences against one snapshot, so the worker keeps that snapshot's
+// tables in its cache for the whole chunk. Small enough that a single
+// cluster's scan of a few hundred thousand symbols spreads over every
+// worker; on the protein corpus 4K to 256K symbols per tile scan alike.
+constexpr uint64_t kTileSymbols = uint64_t{1} << 13;
+
+// out[ci][j] = ComputeSimilarity(*snapshots[ci], seqs[ci][j]) for every
+// cluster ci, scored in (cluster, chunk) tiles of about kTileSymbols
+// symbols. The tiles run cluster-major and weighted by their symbols, so
+// consecutive tiles on a worker share a snapshot. `batched` scores a tile
+// with ComputeSimilarities, otherwise with one ComputeSimilarity per
+// sequence.
+void ScoreTiles(const SequenceStore& db,
+                std::span<const std::shared_ptr<const FrozenPst>> snapshots,
+                std::span<const std::span<const size_t>> seqs,
+                std::span<SimilarityResult* const> out, bool batched,
+                size_t threads) {
+  struct Tile {
+    size_t cluster;
+    size_t begin;
+    size_t end;
+    uint64_t symbols;
+  };
+  std::vector<Tile> tiles;
+  for (size_t ci = 0; ci < seqs.size(); ++ci) {
+    Tile tile{ci, 0, 0, 0};
+    for (size_t j = 0; j < seqs[ci].size(); ++j) {
+      tile.symbols += db.Length(seqs[ci][j]);
+      tile.end = j + 1;
+      if (tile.symbols >= kTileSymbols) {
+        tiles.push_back(tile);
+        tile = Tile{ci, j + 1, j + 1, 0};
+      }
+    }
+    if (tile.end > tile.begin) tiles.push_back(tile);
+  }
+  ParallelForWeighted(
+      tiles.size(), threads,
+      [&](size_t t) -> uint64_t { return tiles[t].symbols; },
+      [&](size_t t) {
+        const Tile& tile = tiles[t];
+        const FrozenPst& snapshot = *snapshots[tile.cluster];
+        const std::span<const size_t> chunk =
+            seqs[tile.cluster].subspan(tile.begin, tile.end - tile.begin);
+        SimilarityResult* results = out[tile.cluster] + tile.begin;
+        if (batched) {
+          ComputeSimilarities(snapshot, db, chunk, results);
+        } else {
+          for (size_t j = 0; j < chunk.size(); ++j) {
+            results[j] = ComputeSimilarity(snapshot, db.Symbols(chunk[j]));
+          }
+        }
+      });
 }
 
 uint64_t HashMembers(const std::vector<size_t>& members) {
@@ -307,38 +363,27 @@ void CluseqClusterer::RebuildClusterPsts() {
   // same iteration anyway, so the re-freeze totals are unchanged.
   RefreshFrozen();
   const size_t kc = clusters_.size();
-  // Flatten (cluster, member) pairs so one cost-weighted pass balances the
-  // whole rebuild at once; fanning out per cluster would serialize on small
-  // clusters while one big cluster hogs a worker.
-  struct Item {
-    uint32_t cluster;
-    uint32_t member;
-  };
-  std::vector<Item> items;
+  // (cluster, member-chunk) tiles balance the whole pass at once: one big
+  // cluster's members spread over every worker, and small clusters share.
+  std::vector<std::span<const size_t>> members(kc);
+  std::vector<std::vector<SimilarityResult>> sims(kc);
+  std::vector<SimilarityResult*> out(kc);
+  for (size_t ci = 0; ci < kc; ++ci) {
+    members[ci] = clusters_[ci].members();
+    sims[ci].resize(members[ci].size());
+    out[ci] = sims[ci].data();
+  }
+  ScoreTiles(db_, Snapshots(), members, out, options_.batched_scan,
+             options_.num_threads);
   std::vector<std::vector<std::pair<size_t, Cluster::Segment>>> contributions(
       kc);
   for (size_t ci = 0; ci < kc; ++ci) {
-    const size_t count = clusters_[ci].members().size();
-    contributions[ci].resize(count);
-    for (size_t mi = 0; mi < count; ++mi) {
-      items.push_back({static_cast<uint32_t>(ci), static_cast<uint32_t>(mi)});
+    contributions[ci].reserve(members[ci].size());
+    for (size_t mi = 0; mi < members[ci].size(); ++mi) {
+      contributions[ci].push_back(
+          {members[ci][mi], {sims[ci][mi].best_begin, sims[ci][mi].best_end}});
     }
   }
-  ParallelForWeighted(
-      items.size(), options_.num_threads,
-      [&](size_t i) -> uint64_t {
-        const Item& it = items[i];
-        return db_.Length(clusters_[it.cluster].members()[it.member]);
-      },
-      [&](size_t i) {
-        const Item& it = items[i];
-        const Cluster& cluster = clusters_[it.cluster];
-        const size_t s = cluster.members()[it.member];
-        SimilarityResult sim =
-            ComputeSimilarity(*cluster.frozen(), db_.Symbols(s));
-        contributions[it.cluster][it.member] = {
-            s, {sim.best_begin, sim.best_end}};
-      });
   resegment_seconds_this_iter_ += resegment_timer.ElapsedSeconds() -
                                   (freeze_seconds_this_iter_ - freeze_before);
   // Rebuild counts the members' segments in member order, so each summary
@@ -363,7 +408,9 @@ void CluseqClusterer::RebuildClusterPsts() {
                       [&](size_t ci, size_t threads) {
                         clusters_[ci].Rebuild(contributions[ci], db_, threads);
                       });
+  build_seconds_this_iter_ += build_timer.ElapsedSeconds();
 #if defined(__GLIBC__)
+  Stopwatch trim_timer;
   // glibc keeps freed heap memory in its arenas. The compiles' scratch and
   // the snapshots replaced every iteration, made by several workers, leave
   // free pages behind that otherwise accumulate over the iterations. Hand
@@ -372,8 +419,8 @@ void CluseqClusterer::RebuildClusterPsts() {
   // call against 73.8 MB without (70.4-71.5 against 72.5-82.3);
   // synthetic-deep alike (14.5 against 14.4 MB).
   malloc_trim(0);
+  trim_seconds_this_iter_ += trim_timer.ElapsedSeconds();
 #endif
-  build_seconds_this_iter_ += build_timer.ElapsedSeconds();
 }
 
 size_t CluseqClusterer::RefreshFrozen() {
@@ -429,77 +476,46 @@ void CluseqClusterer::Recluster() {
     // only bumps commutative counts, so the iteration is independent of
     // both visit order and thread count.
     if (kc == 0) return;
+    // Cluster-major: sims[ci * n + s] is sequence s against cluster ci.
     std::vector<SimilarityResult> sims(n * kc);
     {
       CLUSEQ_TRACE_SPAN("cluseq.scan");
       obs::PerfScope perf_scope = phase_perf_.Sample("scan");
-      static obs::Counter& scan_symbols_counter =
-          obs::MetricsRegistry::Get().GetCounter("frozen_bank.scan_symbols");
+      // The registry name predates the cluster-major scan; report-diff
+      // reads it as scan.symbols_per_sec.
       static obs::Gauge& scan_rate_gauge = obs::MetricsRegistry::Get().GetGauge(
           "frozen_bank.scan_symbols_per_sec");
-      const uint64_t scan_symbols_before = scan_symbols_counter.Value();
       Stopwatch scan_timer;
       RefreshFrozen();  // Only dirty clusters are recompiled.
       const std::vector<std::shared_ptr<const FrozenPst>> snapshots =
           Snapshots();
-      // Scan cost is linear in sequence length; weighted chunking keeps a
-      // length-skewed database from parking workers behind one straggler.
-      const auto scan_cost = [this](size_t s) -> uint64_t {
-        return db_.Length(s);
-      };
       if (options_.batched_scan) {
-        // Pack every snapshot into the scoring arena (untouched models keep
-        // their rows byte-identical) and run one interleaved scan per
-        // sequence instead of kc serial automaton scans.
-        Stopwatch assemble_timer;
-        bank_.Assemble(snapshots);
-        assemble_seconds_this_iter_ += assemble_timer.ElapsedSeconds();
-        if (prefilter_active_) {
-          // Multi-level pruned scan against scan_target_ — log t while the
-          // §4.6 adjuster is frozen or off, the censored floor
-          // log t − adjust_bound_window while it is live. Joins and the
-          // per-sequence max are exact (see ScanPrefilter); pruned slots
-          // hold admissible bounds < the target, and everything at or
-          // above the target is exact, which is all the join pass and the
-          // floor-censored adjuster histogram ever look at.
-          CLUSEQ_TRACE_SPAN("cluseq.prefilter_scan");
-          ScanPrefilter prefilter(&bank_, options_.prefilter_prefix);
-          std::atomic<uint64_t> skipped{0};
-          std::atomic<uint64_t> l15_pruned{0};
-          ParallelForWeighted(
-              n, options_.num_threads, scan_cost, [&](size_t s) {
-                PrefilterScanStats scan_stats;
-                prefilter.ScanAllWithThreshold(db_.Symbols(s), scan_target_,
-                                               sims.data() + s * kc,
-                                               &scan_stats);
-                skipped.fetch_add(scan_stats.candidates_skipped,
-                                  std::memory_order_relaxed);
-                l15_pruned.fetch_add(scan_stats.l15_pruned,
-                                     std::memory_order_relaxed);
-              });
-          prefilter_pairs_this_iter_ += n * kc;
-          prefilter_skipped_this_iter_ +=
-              static_cast<size_t>(skipped.load(std::memory_order_relaxed));
-          prefilter_l15_this_iter_ += static_cast<size_t>(
-              l15_pruned.load(std::memory_order_relaxed));
-        } else {
-          ParallelForWeighted(
-              n, options_.num_threads, scan_cost, [&](size_t s) {
-                bank_.ScanAll(db_.Symbols(s), sims.data() + s * kc);
-              });
-        }
+        // Cluster-major: each tile scores a chunk of sequences against one
+        // snapshot, straight from its own tables.
+        std::vector<size_t> all(n);
+        std::iota(all.begin(), all.end(), size_t{0});
+        const std::vector<std::span<const size_t>> seqs(kc, all);
+        std::vector<SimilarityResult*> out(kc);
+        for (size_t ci = 0; ci < kc; ++ci) out[ci] = sims.data() + ci * n;
+        ScoreTiles(db_, snapshots, seqs, out, /*batched=*/true,
+                   options_.num_threads);
       } else {
-        ParallelForWeighted(n, options_.num_threads, scan_cost, [&](size_t s) {
-          const std::span<const SymbolId> symbols = db_.Symbols(s);
-          for (size_t ci = 0; ci < kc; ++ci) {
-            sims[s * kc + ci] = ComputeSimilarity(*snapshots[ci], symbols);
-          }
-        });
+        // Scan cost is linear in sequence length; weighted chunking keeps a
+        // length-skewed database from parking workers behind one straggler.
+        ParallelForWeighted(
+            n, options_.num_threads,
+            [this](size_t s) -> uint64_t { return db_.Length(s); },
+            [&](size_t s) {
+              const std::span<const SymbolId> symbols = db_.Symbols(s);
+              for (size_t ci = 0; ci < kc; ++ci) {
+                sims[ci * n + s] = ComputeSimilarity(*snapshots[ci], symbols);
+              }
+            });
       }
       const double scan_elapsed = scan_timer.ElapsedSeconds();
       scan_seconds_this_iter_ += scan_elapsed;
-      const uint64_t scanned =
-          scan_symbols_counter.Value() - scan_symbols_before;
+      // Every sequence is scored against every cluster.
+      const uint64_t scanned = db_.TotalSymbols() * kc;
       if (scan_elapsed > 0.0 && scanned > 0) {
         scan_rate_gauge.Set(static_cast<double>(scanned) / scan_elapsed);
       }
@@ -518,7 +534,7 @@ void CluseqClusterer::Recluster() {
     all_log_sims_.resize(n * kc);
     ParallelFor(n, options_.num_threads, [&](size_t s) {
       for (size_t ci = 0; ci < kc; ++ci) {
-        const SimilarityResult& sim = sims[s * kc + ci];
+        const SimilarityResult& sim = sims[ci * n + s];
         all_log_sims_[s * kc + ci] = sim.log_sim;
         best_log_sim_[s] = std::max(best_log_sim_[s], sim.log_sim);
         if (sim.log_sim >= log_t_ && std::isfinite(sim.log_sim)) {
@@ -537,7 +553,7 @@ void CluseqClusterer::Recluster() {
     ParallelFor(kc, options_.num_threads, [&](size_t ci) {
       Cluster& cluster = clusters_[ci];
       for (size_t s = 0; s < n; ++s) {
-        const SimilarityResult& sim = sims[s * kc + ci];
+        const SimilarityResult& sim = sims[ci * n + s];
         if (sim.log_sim >= log_t_ && std::isfinite(sim.log_sim)) {
           ++joins_per_cluster[ci];
           cluster.AddMember(s);
@@ -846,16 +862,6 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
   const CancellationToken* cancel = options_.cancellation;
   const bool checkpointing =
       !options_.checkpoint_dir.empty() && options_.checkpoint_every > 0;
-  // Fixed per run: the prefilter needs the batched arena and deferred
-  // joins; a live threshold adjuster no longer disables it — while the
-  // adjuster moves t, the scan targets the censored floor
-  // log t − adjust_bound_window and the adjuster histograms only scores at
-  // or above that floor, which the prefilter keeps exact.
-  prefilter_active_ = options_.prefilter && options_.batched_scan &&
-                      !options_.within_scan_updates;
-  run_prefilter_pairs_ = 0;
-  run_prefilter_skipped_ = 0;
-  run_prefilter_l15_ = 0;
   phase_perf_.TakePhases();  // Drop samples a prior (aborted) run left over.
 
   size_t start_iteration = 0;
@@ -1020,24 +1026,11 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     join_seconds_this_iter_ = 0.0;
     absorb_seconds_this_iter_ = 0.0;
     freeze_seconds_this_iter_ = 0.0;
-    assemble_seconds_this_iter_ = 0.0;
     resegment_seconds_this_iter_ = 0.0;
     build_seconds_this_iter_ = 0.0;
-    prefilter_pairs_this_iter_ = 0;
-    prefilter_skipped_this_iter_ = 0;
-    prefilter_l15_this_iter_ = 0;
-    // While the §4.6 adjuster is live its histogram must see exact scores,
-    // so the scan targets the censored floor log t − W instead of log t:
-    // everything at or above the floor comes back exact (the adjuster and
-    // the join pass both censor/compare against values no lower), and
-    // scores below it are censored identically in prefiltered and
-    // exhaustive runs, keeping the adjuster trajectory bit-for-bit
-    // independent of the prefilter. Once frozen (or with adjustment off)
-    // the target snaps back to log t itself.
+    trim_seconds_this_iter_ = 0.0;
     const bool adjuster_live =
         options_.adjust_threshold && !adjuster.frozen();
-    scan_target_ = adjuster_live ? log_t_ - options_.adjust_bound_window
-                                 : log_t_;
     const uint64_t pruned_before = pruned_counter.Value();
 
     Stopwatch seed_timer;
@@ -1089,12 +1082,11 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
       CLUSEQ_TRACE_SPAN("cluseq.adjust_t");
       obs::PerfScope perf_scope = phase_perf_.Sample("adjust_t");
       if (adjuster_live) {
-        // The censor floor is exactly this iteration's scan target: the
-        // prefilter guarantees every score at or above it is exact, and
-        // exhaustive runs apply the same floor, so both see an identical
-        // filtered multiset and walk identical threshold trajectories.
+        // The §4.6 histogram sees only scores at or above the censor floor
+        // log t − adjust_bound_window (an algorithmic option).
+        const double censor_floor = log_t_ - options_.adjust_bound_window;
         ThresholdUpdate update =
-            adjuster.Adjust(all_log_sims_, log_t_, scan_target_);
+            adjuster.Adjust(all_log_sims_, log_t_, censor_floor);
         if (update.adjusted) log_t_ = update.new_log_t;
       }
     }
@@ -1115,22 +1107,13 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
     stats.seed_seconds = seed_seconds;
     stats.resegment_seconds = resegment_seconds_this_iter_;
     stats.build_seconds = build_seconds_this_iter_;
+    stats.trim_seconds = trim_seconds_this_iter_;
     stats.rebuild_seconds = stats.resegment_seconds + stats.build_seconds;
     stats.freeze_seconds = freeze_seconds_this_iter_;
-    stats.assemble_seconds = assemble_seconds_this_iter_;
     stats.join_seconds = join_seconds_this_iter_;
     stats.absorb_seconds = absorb_seconds_this_iter_;
     stats.consolidate_seconds = consolidate_seconds;
-    stats.prefilter_l15_pruned = prefilter_l15_this_iter_;
     stats.phase_perf = phase_perf_.TakePhases();
-    if (prefilter_pairs_this_iter_ > 0) {
-      stats.prefilter_skip_ratio =
-          static_cast<double>(prefilter_skipped_this_iter_) /
-          static_cast<double>(prefilter_pairs_this_iter_);
-    }
-    run_prefilter_pairs_ += prefilter_pairs_this_iter_;
-    run_prefilter_skipped_ += prefilter_skipped_this_iter_;
-    run_prefilter_l15_ += prefilter_l15_this_iter_;
     size_t pst_bytes_total = 0;
     for (const Cluster& c : clusters_) {
       if (!c.compiled()) {
@@ -1187,17 +1170,14 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
                         << stats.rebuild_seconds << "s: resegment "
                         << stats.resegment_seconds << "s, "
                         << (compiled ? "record " : "build ")
-                        << stats.build_seconds << "s) / "
+                        << stats.build_seconds << "s; trim "
+                        << stats.trim_seconds << "s) / "
                         << (compiled ? "compile " : "freeze ")
-                        << stats.freeze_seconds << "s / assemble "
-                        << stats.assemble_seconds << "s / join "
+                        << stats.freeze_seconds << "s / join "
                         << stats.join_seconds << "s ("
                         << (compiled ? "record " : "absorb ")
                         << stats.absorb_seconds << "s) / consolidate "
-                        << stats.consolidate_seconds
-                        << "s, prefilter skip "
-                        << 100.0 * stats.prefilter_skip_ratio << "% ("
-                        << stats.prefilter_l15_pruned << " l15 pruned)";
+                        << stats.consolidate_seconds << "s";
       // One perf line per iteration when the counters opened: the scan
       // phase dominates, so lead with its cycles and IPC.
       for (const obs::PhasePerf& phase : stats.phase_perf) {
@@ -1297,17 +1277,7 @@ Status CluseqClusterer::Run(ClusteringResult* result) {
   report_->total_iterations = result->iterations;
   report_->final_log_threshold = result->final_log_threshold;
   report_->total_seconds = run_timer.ElapsedSeconds();
-  report_->prefilter_enabled = prefilter_active_;
-  report_->prefilter_skip_ratio =
-      run_prefilter_pairs_ > 0
-          ? static_cast<double>(run_prefilter_skipped_) /
-                static_cast<double>(run_prefilter_pairs_)
-          : 0.0;
-  report_->prefilter_l15_ratio =
-      run_prefilter_pairs_ > 0
-          ? static_cast<double>(run_prefilter_l15_) /
-                static_cast<double>(run_prefilter_pairs_)
-          : 0.0;
+  report_->prefilter_enabled = options_.prefilter && options_.batched_scan;
   report_->prefilter_sig_tier =
       bank_.empty() ? "" : bank_.signature_tier_name();
   report_->checkpoint_enabled = checkpointing;

@@ -86,51 +86,47 @@ struct CluseqOptions {
   /// afterwards. Scores are bit-for-bit what the live path produces against
   /// the same summaries, but the iteration becomes order-independent (the
   /// visit order only matters when this is true) and parallel across
-  /// sequences rather than across clusters.
+  /// sequences as well as clusters.
   bool within_scan_updates = false;
 
-  /// Score each sequence against *all* cluster snapshots in one interleaved
-  /// pass over its symbols (FrozenBank::ScanAll) instead of k serial
-  /// automaton scans. Applies to the batch re-cluster scan, threshold
-  /// estimation, seeding, and Classify(); results are bit-for-bit identical
-  /// either way, so this is purely a performance switch (kept as an option
-  /// for benchmarking and as a fallback). Ignored by the §4.2
-  /// within-scan-updates mode, which must score against live trees.
+  /// Score many (sequence, model) pairs per pass instead of one automaton
+  /// scan per pair: the batch re-cluster scan and the rebuild's resegment
+  /// pass score each snapshot against chunks of sequences at once
+  /// (ComputeSimilarities); threshold estimation, seeding and Classify()
+  /// score each sequence against all models in one interleaved pass
+  /// (FrozenBank::ScanAll). Results are bit-for-bit identical either way,
+  /// so this is purely a performance switch (the off path, one
+  /// ComputeSimilarity per pair, is the correctness oracle). Ignored by the
+  /// §4.2 within-scan-updates mode, which must score against live trees.
   bool batched_scan = true;
 
-  /// Multi-level candidate pruning in front of the banked scan
+  /// Multi-level candidate pruning in front of the banked argmax scans
   /// (ScanPrefilter, DESIGN.md §14): admissible block/signature/prefix-DP
-  /// upper bounds skip clusters that provably cannot reach the threshold,
-  /// and survivors run the exact DP over just their rows. Outputs are
-  /// bit-for-bit identical with the prefilter on or off — every skip is
+  /// upper bounds skip models that provably cannot beat the best one, and
+  /// survivors run the exact DP over just their rows. Used by seeding's
+  /// screens and by Classify(); the re-cluster scan is exhaustive. Outputs
+  /// are bit-for-bit identical with the prefilter on or off — every skip is
   /// justified by an admissible bound — so, like batched_scan, this is
   /// purely a performance switch (the off path doubles as the correctness
-  /// oracle).
-  /// Requires batched_scan; inactive in within-scan-updates mode. While
-  /// the §4.6 threshold adjuster is live, the scan prunes against the
-  /// censored floor log t − adjust_bound_window instead of log t, so the
-  /// adjuster's histogram sees exact scores (see adjust_bound_window).
+  /// oracle). Requires batched_scan.
   bool prefilter = true;
 
-  /// Width W of the §4.6 histogram window when the prefilter runs during
-  /// adjusting iterations: scores below log t − W are censored from the
-  /// adjuster's histogram (in both prefiltered and exhaustive runs, so the
-  /// two stay bit-for-bit identical), and the prefiltered scan only prunes
-  /// pairs whose bound falls below that floor. Larger W = more of the
-  /// score distribution visible to the valley finder but less pruning
-  /// while t still moves. Algorithmic: affects the adjuster trajectory, so
-  /// it participates in the checkpoint option fingerprint. Must be > 0.
+  /// Width W of the §4.6 histogram window: scores below log t − W are
+  /// censored from the threshold adjuster's histogram. Larger W = more of
+  /// the score distribution visible to the valley finder. Algorithmic:
+  /// affects the adjuster trajectory, so it participates in the checkpoint
+  /// option fingerprint. Must be > 0.
   double adjust_bound_window = 64.0;
 
-  /// Byte budget for the bank's per-model signature tables, which decide
-  /// the prefilter bound order: trigram caps within budget, else bigram,
-  /// else per-symbol maxima (FrozenBank::SelectSignatureTier). Purely a
-  /// perf/memory trade — any tier is admissible. 0 forces the unigram
-  /// tier.
+  /// Byte budget for the Classify() bank's per-model signature tables,
+  /// which decide the prefilter bound order: trigram caps within budget,
+  /// else bigram, else per-symbol maxima (FrozenBank::SelectSignatureTier).
+  /// Purely a perf/memory trade — any tier is admissible. 0 forces the
+  /// unigram tier.
   size_t signature_budget_bytes = FrozenBank::kDefaultSignatureBudgetBytes;
 
-  /// Symbols covered by the prefilter's level-1.5 truncated-prefix DP
-  /// bound (ScanPrefilter::kDefaultL15Prefix = 96); 0 disables that level.
+  /// Symbols covered by Classify()'s level-1.5 truncated-prefix DP bound
+  /// (ScanPrefilter::kDefaultL15Prefix = 96); 0 disables that level.
   /// Purely a perf switch — the bound is admissible at any prefix.
   size_t prefilter_prefix = 96;
 
@@ -222,8 +218,8 @@ struct IterationStats {
   /// fixed-point iteration (no tree changed), thanks to the dirty-bit
   /// incremental re-freeze.
   size_t refrozen_clusters = 0;
-  /// Wall time of the re-cluster similarity scan (scoring only, excluding
-  /// the join/absorb apply phase).
+  /// Wall time of the re-cluster similarity scan (the snapshots it compiles
+  /// and the scoring, excluding the join/absorb apply phase).
   double scan_seconds = 0.0;
   /// What the cluster summaries hold at the end of the iteration. A run
   /// keeps live trees only in §4.2 within-scan mode or under a memory
@@ -253,13 +249,14 @@ struct IterationStats {
   /// clusters' contributions recorded); freeze_seconds: every snapshot
   /// made in the iteration, from compiled clusters' contributions
   /// (FrozenPst::Compile) or from live trees (inside seed_seconds and
-  /// scan_seconds); assemble_seconds: packing the snapshots into the
-  /// scoring bank (inside scan_seconds).
+  /// scan_seconds); trim_seconds: handing freed heap back to the system
+  /// once per iteration after the rebuild (malloc_trim, inside
+  /// seed_seconds, not in rebuild_seconds).
   double rebuild_seconds = 0.0;
   double resegment_seconds = 0.0;
   double build_seconds = 0.0;
   double freeze_seconds = 0.0;
-  double assemble_seconds = 0.0;
+  double trim_seconds = 0.0;
   /// Wall time of the join/absorb apply phase (0 in §4.2 within-scan mode,
   /// where joins are applied inside the scan itself).
   double join_seconds = 0.0;
@@ -268,12 +265,6 @@ struct IterationStats {
   double absorb_seconds = 0.0;
   /// Wall time of consolidation + membership view rebuild.
   double consolidate_seconds = 0.0;
-  /// Fraction of the n × k sequence-cluster pairs the prefilter skipped
-  /// without touching any model rows (0 when the prefilter was inactive).
-  double prefilter_skip_ratio = 0.0;
-  /// Pairs pruned by the level-1.5 truncated-prefix DP bound (a subset of
-  /// the skipped pairs counted in prefilter_skip_ratio).
-  size_t prefilter_l15_pruned = 0;
   /// Per-phase perf-counter and getrusage deltas (seed / scan / join /
   /// consolidate / adjust_t). Counters are empty when perf_event_open is
   /// unavailable; the rusage fields are always filled. Observability only —
@@ -408,9 +399,8 @@ class CluseqClusterer {
   BackgroundModel background_;
   Rng rng_;
   std::vector<Cluster> clusters_;
-  // All cluster snapshots packed into one scoring arena, re-assembled each
-  // iteration (only dirty models are rewritten) and kept current at the end
-  // of Run() so Classify() is a single interleaved scan.
+  // The final cluster snapshots packed into one scoring arena, assembled
+  // at the end of Run() so Classify() is a single interleaved scan.
   FrozenBank bank_;
   uint32_t next_cluster_id_ = 0;
   double log_t_ = 0.0;
@@ -420,23 +410,9 @@ class CluseqClusterer {
   double join_seconds_this_iter_ = 0.0;
   double absorb_seconds_this_iter_ = 0.0;
   double freeze_seconds_this_iter_ = 0.0;
-  double assemble_seconds_this_iter_ = 0.0;
   double resegment_seconds_this_iter_ = 0.0;
   double build_seconds_this_iter_ = 0.0;
-  // Whether the prefilter may prune scans (fixed per run: prefilter ∧
-  // batched_scan ∧ ¬within_scan_updates).
-  bool prefilter_active_ = false;
-  // The scan's pruning target for the current iteration: log_t_ once the
-  // adjuster is frozen (or disabled), log_t_ − adjust_bound_window while
-  // it is live — the same floor the adjuster censors its histogram at.
-  double scan_target_ = 0.0;
-  size_t prefilter_pairs_this_iter_ = 0;
-  size_t prefilter_skipped_this_iter_ = 0;
-  size_t prefilter_l15_this_iter_ = 0;
-  // Whole-run prefilter aggregates for the run report.
-  size_t run_prefilter_pairs_ = 0;
-  size_t run_prefilter_skipped_ = 0;
-  size_t run_prefilter_l15_ = 0;
+  double trim_seconds_this_iter_ = 0.0;
   // Per-phase perf/rusage sampling; drained into IterationStats each
   // iteration. Opens the process-wide PerfCounterSet lazily on first use.
   obs::PhasePerfCollector phase_perf_;

@@ -26,6 +26,7 @@
 #include "pst/pst.h"
 #include "seq/background_model.h"
 #include "seq/sequence.h"
+#include "seq/sequence_store.h"
 
 namespace cluseq {
 
@@ -72,6 +73,16 @@ inline SimilarityResult ComputeSimilarity(const FrozenPst& pst,
                                           const Sequence& seq) {
   return ComputeSimilarity(pst, std::span<const SymbolId>(seq.symbols()));
 }
+
+/// out[j] = ComputeSimilarity(pst, db.Symbols(seqs[j])) for every j, bit
+/// for bit (log_sim, best_begin, best_end). One snapshot against many
+/// sequences: a few sequences advance through the snapshot's tables in
+/// lockstep, so their independent load chains overlap, and a lane whose
+/// sequence ends takes the next one at once. The learn loop's re-cluster
+/// scan and resegment pass score each cluster this way, tile by tile
+/// (core/cluseq.cc).
+void ComputeSimilarities(const FrozenPst& pst, const SequenceStore& db,
+                         std::span<const size_t> seqs, SimilarityResult* out);
 
 /// Reference O(l^2) implementation that evaluates every segment explicitly.
 /// Used by tests to validate the DP; not for production use.

@@ -98,13 +98,10 @@ void WriteIterationStats(JsonWriter& writer, const IterationStats& stats) {
   writer.KeyValue("resegment_seconds", stats.resegment_seconds);
   writer.KeyValue("build_seconds", stats.build_seconds);
   writer.KeyValue("freeze_seconds", stats.freeze_seconds);
-  writer.KeyValue("assemble_seconds", stats.assemble_seconds);
+  writer.KeyValue("trim_seconds", stats.trim_seconds);
   writer.KeyValue("join_seconds", stats.join_seconds);
   writer.KeyValue("absorb_seconds", stats.absorb_seconds);
   writer.KeyValue("consolidate_seconds", stats.consolidate_seconds);
-  writer.KeyValue("prefilter_skip_ratio", stats.prefilter_skip_ratio);
-  writer.KeyValue("prefilter_l15_pruned",
-                  uint64_t{stats.prefilter_l15_pruned});
   writer.EndObject();
 }
 
@@ -230,7 +227,6 @@ void WriteRunReportJson(const RunReport& report, std::ostream& out) {
   writer.BeginObject();
   writer.KeyValue("enabled", report.prefilter_enabled);
   writer.KeyValue("skip_ratio", report.prefilter_skip_ratio);
-  writer.KeyValue("l15_ratio", report.prefilter_l15_ratio);
   writer.KeyValue("sig_tier", std::string_view(report.prefilter_sig_tier));
   writer.EndObject();
   writer.Key("checkpoint");

@@ -63,18 +63,15 @@ struct RunReport {
   double final_log_threshold = 0.0;
   double total_seconds = 0.0;
 
-  /// Prefilter aggregates across all iterations. `prefilter_enabled` echoes
-  /// whether the run was eligible to prune (option on, batched scan, not
-  /// within-scan mode); the skip ratio is skipped pairs over all n × k
-  /// pairs of prefiltered iterations (0 when none pruned, e.g. because the
-  /// threshold adjuster never froze).
+  /// Prefilter summary. `prefilter_enabled` echoes whether seeding's
+  /// screens and Classify() prune (option on, batched scan). The
+  /// re-cluster scan is exhaustive, so the fraction of its n × k pairs
+  /// skipped, `prefilter_skip_ratio`, is always 0; it stays in the report
+  /// for consumers that read it. `prefilter_sig_tier` is the signature
+  /// tier the Classify() bank selected under the byte budget ("unigram" /
+  /// "bigram" / "trigram"; empty when no bank was assembled).
   bool prefilter_enabled = false;
   double prefilter_skip_ratio = 0.0;
-  /// Level-1.5 truncated-DP drops as a fraction of all pairs (subset of
-  /// the skip ratio), and the signature tier the bank selected under the
-  /// byte budget ("unigram" / "bigram" / "trigram"; empty when no bank
-  /// was assembled).
-  double prefilter_l15_ratio = 0.0;
   std::string prefilter_sig_tier;
 
   /// Whether perf_event_open counters were live for this run (the process-

@@ -1,14 +1,19 @@
 // FrozenBank: k FrozenPst snapshots packed into one arena, scored in one
 // pass.
 //
-// CLUSEQ's dominant cost is the re-cluster scan: every iteration scores
-// every sequence against every cluster (paper §4.2–4.3). A FrozenPst makes
-// one cluster's scan O(1)/symbol, but looping k snapshots serially still
-// reads the symbol stream k times, restarts k cold dependency chains, and
-// re-faults each model's transition rows from scratch. The finite-memory
-// classification literature treats multi-model scoring as k state machines
-// advanced in lockstep over a single stream — which is exactly what this
-// engine compiles:
+// The bank serves the consumers that score one sequence against all k
+// models: Classify() and the CLI's classify, streaming (OnlineScorer),
+// seeding's screens and the initial-threshold estimate, and the `.fbank`
+// file. The learn loop's re-cluster scan does not use it: that scan scores
+// every sequence against every cluster (paper §4.2–4.3), so it runs
+// cluster-major, each snapshot against chunks of sequences straight from
+// its own tables (ComputeSimilarities, core/similarity.h), where one
+// model's rows stay in a core's cache. For one sequence at a time, though,
+// looping k snapshots serially reads the symbol stream k times, restarts
+// k cold dependency chains, and re-faults each model's transition rows
+// from scratch. The finite-memory classification literature treats
+// multi-model scoring as k state machines advanced in lockstep over a
+// single stream — which is exactly what this engine compiles:
 //
 //   * The bank packs every model's transition and log-ratio tables into one
 //     arena of 16-byte entries with one entry offset per model. Arena entry
@@ -34,8 +39,8 @@
 // Incremental re-freeze: Assemble() compares each slot's snapshot pointer
 // and arena offset against the previous layout and rewrites only the
 // models that actually changed — an untouched cluster's rows are reused
-// byte-identical in place. Clusterer iterations where few clusters absorbed
-// segments therefore rebuild only those clusters' tables.
+// byte-identical in place, so re-targeting a bank at a model set that
+// changed in a few slots rewrites only those slots' tables.
 //
 // Banks come into existence two ways: *assembled* from live FrozenPst
 // snapshots (above), or *mapped* from a `.fbank` file

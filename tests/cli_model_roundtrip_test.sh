@@ -4,6 +4,8 @@
 #   - `classify` prints one line per input record, in input order;
 #   - --prefilter=off output is byte-identical to --prefilter=on;
 #   - classify rejects cluster-only flags (exit 2, naming the flag);
+#   - the retired --sig_budget_mb and --prefilter_l15 flags are rejected
+#     (exit 2, naming the flag);
 #   - a truncated bank, or a missing one, makes classify exit non-zero.
 #
 # Usage: cli_model_roundtrip_test.sh <path/to/cluseq_cli>
@@ -51,6 +53,18 @@ for flag in --strict --resume --checkpoint_dir="$work/ckpt" \
   [ "$code" -eq 2 ] || fail "classify $name exited $code, expected 2"
   grep -q -- "$name" "$work/flag.out" ||
     fail "classify $name: message does not name the flag: $(cat "$work/flag.out")"
+done
+
+for flag in --sig_budget_mb=4 --prefilter_l15=32; do
+  name=${flag%%=*}
+  for command in cluster classify; do
+    "$cli" "$command" --input="$work/db.tsv" --model-dir="$work/models" \
+      "$flag" > "$work/flag.out" 2>&1
+    code=$?
+    [ "$code" -eq 2 ] || fail "$command $name exited $code, expected 2"
+    grep -q -- "$name" "$work/flag.out" ||
+      fail "$command $name: message does not name the flag: $(cat "$work/flag.out")"
+  done
 done
 
 truncate -s 64 "$work/models/bank.fbank" || fail "truncate failed"

@@ -80,9 +80,9 @@ TEST(RunReportTest, RoundTripMatchesIterationStats) {
             report->prefilter_enabled);
   EXPECT_DOUBLE_EQ(prefilter->Find("skip_ratio")->number,
                    report->prefilter_skip_ratio);
-  EXPECT_DOUBLE_EQ(prefilter->Find("l15_ratio")->number,
-                   report->prefilter_l15_ratio);
   EXPECT_TRUE(report->prefilter_enabled);  // SmallOptions leaves defaults.
+  // The re-cluster scan is exhaustive: it skips no pair.
+  EXPECT_EQ(report->prefilter_skip_ratio, 0.0);
 
   const obs::JsonValue* iterations = root.Find("iterations");
   ASSERT_NE(iterations, nullptr);
@@ -136,12 +136,13 @@ TEST(RunReportTest, RoundTripMatchesIterationStats) {
                      expect.resegment_seconds + expect.build_seconds);
     EXPECT_DOUBLE_EQ(stats->Find("freeze_seconds")->number,
                      expect.freeze_seconds);
-    EXPECT_DOUBLE_EQ(stats->Find("assemble_seconds")->number,
-                     expect.assemble_seconds);
-    // The per-layer timers are nested leaves of the phase timers.
+    EXPECT_DOUBLE_EQ(stats->Find("trim_seconds")->number,
+                     expect.trim_seconds);
+    // The per-layer timers are nested leaves of the phase timers; the trim
+    // is a leaf of its own, outside the rebuild.
     EXPECT_GE(expect.frozen_states_total, expect.clusters_after);
-    EXPECT_LE(expect.rebuild_seconds, expect.seed_seconds);
-    EXPECT_LE(expect.assemble_seconds, expect.scan_seconds);
+    EXPECT_LE(expect.rebuild_seconds + expect.trim_seconds,
+              expect.seed_seconds);
     EXPECT_LE(expect.freeze_seconds,
               expect.seed_seconds + expect.scan_seconds);
     EXPECT_DOUBLE_EQ(stats->Find("join_seconds")->number,
@@ -151,10 +152,9 @@ TEST(RunReportTest, RoundTripMatchesIterationStats) {
     EXPECT_LE(expect.absorb_seconds, expect.join_seconds);
     EXPECT_DOUBLE_EQ(stats->Find("consolidate_seconds")->number,
                      expect.consolidate_seconds);
-    EXPECT_DOUBLE_EQ(stats->Find("prefilter_skip_ratio")->number,
-                     expect.prefilter_skip_ratio);
-    EXPECT_EQ(stats->Find("prefilter_l15_pruned")->number,
-              static_cast<double>(expect.prefilter_l15_pruned));
+    // The loop packs no bank and runs no prefilter.
+    EXPECT_EQ(stats->Find("assemble_seconds"), nullptr);
+    EXPECT_EQ(stats->Find("prefilter_skip_ratio"), nullptr);
     // Per-iteration metrics snapshot rides along with the stats.
     const obs::JsonValue* metrics = iterations->array[i].Find("metrics");
     ASSERT_NE(metrics, nullptr) << "iteration " << i;
@@ -231,6 +231,20 @@ TEST(RunReportTest, LiveTreeRunsReportTheirTrees) {
           << "iteration " << stats.iteration;
     }
   }
+}
+
+TEST(RunReportTest, BatchRunPublishesTheScanRate) {
+  // The re-cluster scan scores every sequence against every cluster from
+  // the snapshots, without the bank, and publishes its model-symbols per
+  // second under the gauge report-diff reads as scan.symbols_per_sec.
+  obs::Gauge& rate = obs::MetricsRegistry::Get().GetGauge(
+      "frozen_bank.scan_symbols_per_sec");
+  rate.Set(0.0);
+  SequenceDatabase db = SmallDb();
+  CluseqClusterer clusterer(db, SmallOptions());
+  ClusteringResult result;
+  ASSERT_TRUE(clusterer.Run(&result).ok());
+  EXPECT_GT(rate.Value(), 0.0);
 }
 
 TEST(RunReportTest, PerfSummaryAggregatesHandBuiltPhases) {

@@ -264,13 +264,6 @@ struct CommonFlags {
       } else if (ParseFlag(arg, "adjust_window", &v) ||
                  ParseFlag(arg, "adjust-window", &v)) {
         options.adjust_bound_window = std::strtod(v.c_str(), nullptr);
-      } else if (ParseFlag(arg, "sig_budget_mb", &v) ||
-                 ParseFlag(arg, "sig-budget-mb", &v)) {
-        options.signature_budget_bytes =
-            std::strtoull(v.c_str(), nullptr, 10) * 1024 * 1024;
-      } else if (ParseFlag(arg, "prefilter_l15", &v) ||
-                 ParseFlag(arg, "prefilter-l15", &v)) {
-        options.prefilter_prefix = std::strtoul(v.c_str(), nullptr, 10);
       } else if (ParseFlag(arg, "checkpoint_dir", &v) ||
                  ParseFlag(arg, "checkpoint-dir", &v)) {
         options.checkpoint_dir = v;
@@ -681,21 +674,12 @@ void PrintUsage() {
                "[--pst-memory=BYTES]\n"
                "           [--batched_scan=on|off] [--prefilter=on|off] "
                "[--verbose]\n"
-               "           [--adjust_window=F] [--sig_budget_mb=N] "
-               "[--prefilter_l15=N]\n"
+               "           [--adjust_window=F]\n"
                "           --adjust_window: censor window W of the "
                "threshold adjuster's\n"
-               "           histogram (prefiltered scans stay exact down to "
-               "log t - W while\n"
-               "           the adjuster is live; algorithmic, default 64)\n"
-               "           --sig_budget_mb: per-bank byte budget picking "
-               "the prefilter\n"
-               "           signature tier (trigram/bigram/unigram, default "
-               "32; perf-only)\n"
-               "           --prefilter_l15: symbols covered by the "
-               "level-1.5 truncated-\n"
-               "           prefix bound (default 96, 0 disables; "
-               "perf-only)\n"
+               "           histogram: scores below log t - W are left out "
+               "(algorithmic,\n"
+               "           default 64)\n"
                "           [--metrics_json=PATH] [--metrics_prom=PATH] "
                "[--trace_json=PATH]\n"
                "           [--trace_sample=always|never|prob:P[,seed=N]|"
@@ -728,13 +712,13 @@ void PrintUsage() {
                "           reads DIR/bank.fbank (written by cluster "
                "--model-dir); a missing\n"
                "           or corrupt bank is an error\n"
-               "  --prefilter=on skips clusters via admissible score bounds; "
+               "  --prefilter=on skips models via admissible score bounds; "
                "outputs are\n"
                "  bit-for-bit identical to --prefilter=off (the exhaustive "
                "oracle). It speeds\n"
-               "  up classify, where it skips most models; in the cluster "
-               "loop it skips few\n"
-               "  pairs and does not speed it up\n"
+               "  up classify and cluster's seeding screens; the cluster "
+               "loop's scan is\n"
+               "  exhaustive\n"
                "  --input/--out ending in .sqdb selects the indexed binary "
                "store (mmap-backed)\n"
                "  --threads=0 auto-detects the hardware thread count\n");
